@@ -33,6 +33,12 @@
 //     keep p99 bounded by shedding countable events, never by stalling
 //     or dying: shed_rate_bounded pins the whole contract.
 //
+// One read point rides the same base deployment (docs/serve.md):
+//   * serve_read — {"op":"query","what":"placement"} answered back to
+//     back on the unchurned daemon: the northbound read's compose step
+//     and JSON rendering.  read_entries_per_sec (rendered entries per
+//     second of reads) is floored at 3x the stream-based renderer's rate.
+//
 // RULEPLACE_FULL=1 registers the million-event endurance point instead
 // (serve_churn_full), which also crosses several rebase cycles.
 
@@ -326,6 +332,41 @@ void serveOverloadPoint(benchmark::State& state) {
   }
 }
 
+void serveReadPoint(benchmark::State& state) {
+  const std::int64_t reads = static_cast<std::int64_t>(state.range(0));
+  io::Scenario scenario;
+  serve::churnScenario(churnTarget(0), scenario);
+  serve::DaemonOptions opts;
+  opts.shards = 1;
+  opts.workers = 1;
+  serve::Daemon daemon(scenario, opts);  // base solve is unmeasured
+  const std::int64_t entries =
+      daemon.compose().placement.totalInstalledRules();
+
+  for (auto _ : state) {
+    std::size_t bytes = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::int64_t i = 0; i < reads; ++i) {
+      const std::string reply =
+          daemon.handleLine(R"({"op":"query","what":"placement"})");
+      if (reply.rfind("{\"ok\":true", 0) != 0) {
+        state.SkipWithError("placement read failed");
+        return;
+      }
+      bytes += reply.size();
+    }
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    state.SetIterationTime(secs);
+    state.counters["read_entries_per_sec"] =
+        secs > 0.0 ? static_cast<double>(entries * reads) / secs : 0.0;
+    state.counters["entries"] = static_cast<double>(entries);
+    state.counters["bytes_per_read"] =
+        static_cast<double>(bytes) / static_cast<double>(reads);
+  }
+}
+
 void registerAll() {
   if (fullScale()) {
     // Endurance: a million streamed events crosses ~>100 coalesced
@@ -349,6 +390,11 @@ void registerAll() {
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark("serve_overload", serveOverloadPoint)
         ->Arg(65536)
+        ->UseManualTime()
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark("serve_read", serveReadPoint)
+        ->Arg(128)
         ->UseManualTime()
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "classbench/generator.h"
@@ -18,19 +17,6 @@ const char* toString(TopologyKind k) {
     case TopologyKind::kWaxman: return "waxman";
   }
   return "?";
-}
-
-std::string GenParams::describe() const {
-  std::ostringstream os;
-  os << toString(topology) << " ~" << switchTarget << "sw, " << policyCount
-     << " policies x " << rulesPerPolicy << " rules, " << pathsPerIngress
-     << (ecmp ? " ecmp-flows" : " paths") << "/ingress"
-     << (trafficDescriptors ? ", traffic-dst" : "")
-     << (rawCubePolicies ? ", raw-cubes" : ", 5-tuple")
-     << (sharedBlacklist > 0 ? ", shared=" + std::to_string(sharedBlacklist)
-                             : "")
-     << ", capx" << capacityFactor;
-  return os.str();
 }
 
 namespace {

@@ -49,8 +49,6 @@ struct GenParams {
   /// tight (sometimes infeasible) instances, large values decouple policies.
   double capacityFactor = 2.0;
   bool perSwitchCapacityJitter = true;
-
-  std::string describe() const;
 };
 
 /// A self-contained problem instance.  The graph is shared so copies made

@@ -3,59 +3,60 @@
 #include <sstream>
 
 #include "io/policy_text.h"
+#include "util/append.h"
 
 namespace ruleplace::io {
 
 std::string jsonEscape(const std::string& s) {
-  std::ostringstream os;
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
+  std::string quoted;
+  util::appendJsonString(quoted, s);
+  return quoted.substr(1, quoted.size() - 2);
 }
 
-std::string placementToJson(const core::PlacementProblem& problem,
-                            const core::Placement& placement) {
-  std::ostringstream os;
-  os << "{\"switches\":[";
+void appendPlacementJson(std::string& out,
+                         const core::PlacementProblem& problem,
+                         const core::Placement& placement) {
+  // An entry renders to about 118 bytes at the k=32 center point.
+  out.reserve(out.size() +
+              128 * static_cast<std::size_t>(placement.totalInstalledRules()));
+  out += "{\"switches\":[";
   bool firstSwitch = true;
   for (int sw = 0; sw < placement.switchCount(); ++sw) {
     const auto& table = placement.table(sw);
     if (table.empty()) continue;
-    if (!firstSwitch) os << ',';
+    if (!firstSwitch) out.push_back(',');
     firstSwitch = false;
-    os << "{\"name\":\"" << jsonEscape(problem.graph->sw(sw).name)
-       << "\",\"capacity\":" << problem.capacityOf(sw) << ",\"entries\":[";
+    out += "{\"name\":";
+    util::appendJsonString(out, problem.graph->sw(sw).name);
+    out += ",\"capacity\":";
+    util::appendInt(out, problem.capacityOf(sw));
+    out += ",\"entries\":[";
     for (std::size_t e = 0; e < table.size(); ++e) {
       const auto& r = table[e];
-      if (e != 0) os << ',';
-      os << "{\"priority\":" << r.priority << ",\"action\":\""
-         << (r.action == acl::Action::kDrop ? "drop" : "permit")
-         << "\",\"match\":\"" << jsonEscape(formatMatch(r.matchField))
-         << "\",\"tags\":[";
+      if (e != 0) out.push_back(',');
+      out += "{\"priority\":";
+      util::appendInt(out, r.priority);
+      out += r.action == acl::Action::kDrop ? ",\"action\":\"drop\""
+                                            : ",\"action\":\"permit\"";
+      out += ",\"match\":\"";
+      appendMatch(out, r.matchField);  // needs no escaping
+      out += "\",\"tags\":[";
       for (std::size_t t = 0; t < r.tags.size(); ++t) {
-        if (t != 0) os << ',';
-        os << r.tags[t];
+        if (t != 0) out.push_back(',');
+        util::appendInt(out, r.tags[t]);
       }
-      os << "],\"merged\":" << (r.merged ? "true" : "false") << '}';
+      out += r.merged ? "],\"merged\":true}" : "],\"merged\":false}";
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+}
+
+std::string placementToJson(const core::PlacementProblem& problem,
+                            const core::Placement& placement) {
+  std::string out;
+  appendPlacementJson(out, problem, placement);
+  return out;
 }
 
 std::string reportToJson(const PlacementReport& report) {

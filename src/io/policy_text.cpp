@@ -1,16 +1,15 @@
 #include "io/policy_text.h"
 
 #include <charconv>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "match/tuple5.h"
+#include "util/append.h"
 
 namespace ruleplace::io {
 
 namespace {
-
-using match::Tuple5Layout;
 
 std::vector<std::string_view> tokenize(std::string_view line) {
   std::vector<std::string_view> out;
@@ -161,100 +160,51 @@ acl::Policy parsePolicy(std::string_view text) {
   return policy;
 }
 
-namespace {
-
-// Try to decode a Tuple5-layout cube back into structured text.
-// Returns false when any field is not prefix/exact/wildcard-shaped.
-bool decodeTuple5(const match::Ternary& f, match::Tuple5* out) {
-  if (f.width() != Tuple5Layout::kWidth) return false;
-  auto ipField = [&](int offset, match::IpPrefix* prefix) {
-    int len = 0;
-    while (len < 32 && f.bit(offset + 31 - len) >= 0) ++len;
-    std::uint32_t addr = 0;
-    for (int j = 0; j < len; ++j) {
-      addr |= static_cast<std::uint32_t>(f.bit(offset + 31 - j)) << (31 - j);
-    }
-    for (int j = len; j < 32; ++j) {
-      if (f.bit(offset + 31 - j) >= 0) return false;  // gap: not a prefix
-    }
-    *prefix = {addr, len};
-    return true;
-  };
-  auto portField = [&](int offset, match::PortMatch* port) {
-    int cared = 0;
-    std::uint16_t value = 0;
-    for (int j = 0; j < 16; ++j) {
-      int b = f.bit(offset + j);
-      if (b >= 0) {
-        ++cared;
-        value = static_cast<std::uint16_t>(value |
-                                           (static_cast<unsigned>(b) << j));
-      }
-    }
-    if (cared == 0) {
-      *port = match::PortMatch::any();
-      return true;
-    }
-    if (cared == 16) {
-      *port = match::PortMatch::exact(value);
-      return true;
-    }
-    return false;
-  };
-  if (!ipField(Tuple5Layout::kSrcIpOffset, &out->src)) return false;
-  if (!ipField(Tuple5Layout::kDstIpOffset, &out->dst)) return false;
-  if (!portField(Tuple5Layout::kSrcPortOffset, &out->srcPort)) return false;
-  if (!portField(Tuple5Layout::kDstPortOffset, &out->dstPort)) return false;
-  int protoCared = 0;
-  std::uint8_t protoVal = 0;
-  for (int j = 0; j < 8; ++j) {
-    int b = f.bit(Tuple5Layout::kProtoOffset + j);
-    if (b >= 0) {
-      ++protoCared;
-      protoVal = static_cast<std::uint8_t>(protoVal |
-                                           (static_cast<unsigned>(b) << j));
+void appendMatch(std::string& out, const match::Ternary& field) {
+  const std::optional<match::Tuple5> t = match::Tuple5::fromTernary(field);
+  if (!t) {
+    out += "raw ";
+    out += field.toString();
+    return;
+  }
+  out += "src ";
+  t->src.appendTo(out);
+  out += " dst ";
+  t->dst.appendTo(out);
+  if (t->proto.exact) {
+    if (t->proto.value == 6) {
+      out += " tcp";
+    } else if (t->proto.value == 17) {
+      out += " udp";
+    } else {
+      out += " proto ";
+      util::appendInt(out, t->proto.value);
     }
   }
-  if (protoCared == 8) {
-    out->proto = {protoVal, true};
-  } else if (protoCared == 0) {
-    out->proto = match::ProtoMatch::any();
-  } else {
-    return false;
+  if (t->srcPort.careBits == 16) {
+    out += " sport ";
+    util::appendInt(out, t->srcPort.value);
   }
-  return true;
+  if (t->dstPort.careBits == 16) {
+    out += " dport ";
+    util::appendInt(out, t->dstPort.value);
+  }
 }
 
-}  // namespace
-
 std::string formatMatch(const match::Ternary& field) {
-  match::Tuple5 tuple;
-  if (!decodeTuple5(field, &tuple)) {
-    return "raw " + field.toString();
-  }
-  std::ostringstream os;
-  os << "src " << tuple.src.toString() << " dst " << tuple.dst.toString();
-  if (tuple.proto.exact) {
-    if (tuple.proto.value == 6) {
-      os << " tcp";
-    } else if (tuple.proto.value == 17) {
-      os << " udp";
-    } else {
-      os << " proto " << static_cast<int>(tuple.proto.value);
-    }
-  }
-  if (tuple.srcPort.careBits == 16) os << " sport " << tuple.srcPort.value;
-  if (tuple.dstPort.careBits == 16) os << " dport " << tuple.dstPort.value;
-  return os.str();
+  std::string out;
+  appendMatch(out, field);
+  return out;
 }
 
 std::string formatPolicy(const acl::Policy& policy) {
-  std::ostringstream os;
+  std::string out;
   for (const auto& r : policy.rules()) {
-    os << (r.action == acl::Action::kDrop ? "drop " : "permit ")
-       << formatMatch(r.matchField) << '\n';
+    out += r.action == acl::Action::kDrop ? "drop " : "permit ";
+    appendMatch(out, r.matchField);
+    out.push_back('\n');
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace ruleplace::io

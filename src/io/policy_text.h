@@ -52,4 +52,8 @@ std::string formatPolicy(const acl::Policy& policy);
 /// Tuple5 layout, `raw <ternary>` otherwise.
 std::string formatMatch(const match::Ternary& field);
 
+/// Append formatMatch(field) to `out` — the one match renderer.  Its text
+/// uses only [0-9a-z./* ], so it needs no JSON escaping.
+void appendMatch(std::string& out, const match::Ternary& field);
+
 }  // namespace ruleplace::io

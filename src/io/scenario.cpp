@@ -28,27 +28,6 @@ int parseIntTok(const std::string& s, int line, const char* what) {
   return value;
 }
 
-// Recognize a dst-prefix-only cube so traffic descriptors can round-trip.
-bool asDstPrefix(const match::Ternary& cube, match::IpPrefix* out) {
-  using L = match::Tuple5Layout;
-  if (cube.width() != L::kWidth) return false;
-  int len = 0;
-  std::uint32_t addr = 0;
-  for (int j = 0; j < 32; ++j) {
-    int b = cube.bit(L::kDstIpOffset + 31 - j);
-    if (b < 0) break;
-    addr |= static_cast<std::uint32_t>(b) << (31 - j);
-    ++len;
-  }
-  // Everything outside the prefix must be wildcard.
-  for (int i = 0; i < cube.width(); ++i) {
-    bool inPrefix = i >= L::kDstIpOffset + 32 - len && i < L::kDstIpOffset + 32;
-    if (!inPrefix && cube.bit(i) >= 0) return false;
-  }
-  *out = {addr, len};
-  return true;
-}
-
 }  // namespace
 
 void parseScenario(std::string_view text, Scenario& out) {
@@ -235,12 +214,12 @@ std::string formatScenario(const core::PlacementProblem& problem) {
          << g.entryPort(path.egress).name << " via";
       for (topo::SwitchId sw : path.switches) os << ' ' << g.sw(sw).name;
       if (path.traffic.has_value()) {
-        match::IpPrefix prefix;
-        if (!asDstPrefix(*path.traffic, &prefix)) {
+        const auto t = match::Tuple5::fromTernary(*path.traffic);
+        if (!t || *path.traffic != match::dstPrefixCube(t->dst)) {
           throw std::invalid_argument(
               "formatScenario: only dst-prefix traffic descriptors render");
         }
-        os << " traffic-dst " << prefix.toString();
+        os << " traffic-dst " << t->dst.toString();
       }
       os << '\n';
     }

@@ -78,10 +78,6 @@ class Ternary {
   /// The result has at most width() cubes.
   std::vector<Ternary> subtract(const Ternary& other) const;
 
-  /// log2 of the number of concrete headers matched == wildcardCount().
-  /// Exposed for size-ordered heuristics.
-  int log2Size() const noexcept { return wildcardCount(); }
-
   /// Render as a ternary string, MSB first (inverse of fromString).
   std::string toString() const;
 

@@ -1,7 +1,9 @@
 #include "match/tuple5.h"
 
-#include <sstream>
+#include <bit>
 #include <stdexcept>
+
+#include "util/append.h"
 
 namespace ruleplace::match {
 
@@ -30,13 +32,66 @@ void applyPort(Ternary& t, int offset, const PortMatch& p) {
   }
 }
 
+// Bits [offset, offset + nbits) of a two-word mask, nbits <= 32.
+std::uint32_t bitsAt(std::uint64_t lo, std::uint64_t hi, int offset,
+                     int nbits) {
+  const std::uint64_t v = offset >= 64 ? hi >> (offset - 64)
+                          : offset == 0
+                              ? lo
+                              : (lo >> offset) | (hi << (64 - offset));
+  return static_cast<std::uint32_t>(v & ((std::uint64_t{1} << nbits) - 1));
+}
+
 }  // namespace
 
+std::optional<Tuple5> Tuple5::fromTernary(const Ternary& t) {
+  using L = Tuple5Layout;
+  if (t.width() != L::kWidth) return std::nullopt;
+  const auto care = [&](int offset, int nbits) {
+    return bitsAt(t.careWord(0), t.careWord(1), offset, nbits);
+  };
+  const auto value = [&](int offset, int nbits) {
+    return bitsAt(t.valueWord(0), t.valueWord(1), offset, nbits);
+  };
+  const std::uint32_t src = care(L::kSrcIpOffset, L::kIpBits);
+  const std::uint32_t dst = care(L::kDstIpOffset, L::kIpBits);
+  const std::uint32_t sport = care(L::kSrcPortOffset, L::kPortBits);
+  const std::uint32_t dport = care(L::kDstPortOffset, L::kPortBits);
+  const std::uint32_t proto = care(L::kProtoOffset, L::kProtoBits);
+  // IP care masks must be leading ones; ports and proto all-care or none.
+  const auto isPrefix = [](std::uint32_t c) { return (~c & (~c + 1)) == 0; };
+  if (!isPrefix(src) || !isPrefix(dst) || (sport != 0 && sport != 0xffffu) ||
+      (dport != 0 && dport != 0xffffu) || (proto != 0 && proto != 0xffu)) {
+    return std::nullopt;
+  }
+  // Value bits outside the care mask are zero by the cube invariant.
+  Tuple5 out;
+  out.src = {value(L::kSrcIpOffset, L::kIpBits), std::popcount(src)};
+  out.dst = {value(L::kDstIpOffset, L::kIpBits), std::popcount(dst)};
+  const auto port = [&](int offset, std::uint32_t c) {
+    return PortMatch{static_cast<std::uint16_t>(value(offset, L::kPortBits)),
+                     c != 0 ? 16 : 0};
+  };
+  out.srcPort = port(L::kSrcPortOffset, sport);
+  out.dstPort = port(L::kDstPortOffset, dport);
+  out.proto = {
+      static_cast<std::uint8_t>(value(L::kProtoOffset, L::kProtoBits)),
+      proto != 0};
+  return out;
+}
+
 std::string IpPrefix::toString() const {
-  std::ostringstream os;
-  os << ((addr >> 24) & 0xff) << '.' << ((addr >> 16) & 0xff) << '.'
-     << ((addr >> 8) & 0xff) << '.' << (addr & 0xff) << '/' << length;
-  return os.str();
+  std::string out;
+  appendTo(out);
+  return out;
+}
+
+void IpPrefix::appendTo(std::string& out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    util::appendInt(out, (addr >> shift) & 0xffu);
+    out.push_back(shift == 0 ? '/' : '.');
+  }
+  util::appendInt(out, length);
 }
 
 Ternary Tuple5::toTernary() const {
@@ -55,28 +110,20 @@ Ternary Tuple5::toTernary() const {
 }
 
 std::string Tuple5::toString() const {
-  std::ostringstream os;
-  os << src.toString() << " -> " << dst.toString();
+  std::string out = src.toString() + " -> " + dst.toString();
   if (proto.exact) {
-    os << (proto.value == 6 ? " tcp" : proto.value == 17 ? " udp" : " proto");
-    if (proto.value != 6 && proto.value != 17) {
-      os << '=' << static_cast<int>(proto.value);
-    }
+    out += proto.value == 6    ? " tcp"
+           : proto.value == 17 ? " udp"
+                               : " proto=" + std::to_string(proto.value);
   }
-  if (srcPort.careBits == 16) os << " sport=" << srcPort.value;
-  if (dstPort.careBits == 16) os << " dport=" << dstPort.value;
-  return os.str();
+  if (srcPort.careBits == 16) out += " sport=" + std::to_string(srcPort.value);
+  if (dstPort.careBits == 16) out += " dport=" + std::to_string(dstPort.value);
+  return out;
 }
 
 Ternary dstPrefixCube(const IpPrefix& prefix) {
   Ternary t(Tuple5Layout::kWidth);
   applyPrefix(t, Tuple5Layout::kDstIpOffset, prefix);
-  return t;
-}
-
-Ternary srcPrefixCube(const IpPrefix& prefix) {
-  Ternary t(Tuple5Layout::kWidth);
-  applyPrefix(t, Tuple5Layout::kSrcIpOffset, prefix);
   return t;
 }
 

@@ -8,6 +8,7 @@
 // paper's experiments model ([27], [28]).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "match/ternary.h"
@@ -32,7 +33,8 @@ struct IpPrefix {
   std::uint32_t addr = 0;  ///< network byte-order-independent host value
   int length = 0;          ///< prefix length in [0, 32]
 
-  std::string toString() const;
+  std::string toString() const;           ///< "a.b.c.d/len"
+  void appendTo(std::string& out) const;  ///< toString(), appended
 };
 
 /// A port constraint: either wildcard or one exact port or a prefix-aligned
@@ -66,6 +68,11 @@ struct Tuple5 {
   /// Lower to the 104-bit ternary representation.
   Ternary toTernary() const;
 
+  /// The match a cube encodes, decoded from its care/value words; nullopt
+  /// unless the width is 104, both IPs are prefixes and the ports and proto
+  /// are each exact or wildcard.
+  static std::optional<Tuple5> fromTernary(const Ternary& t);
+
   /// Human-readable rendering, e.g. "10.0.0.0/8 -> 11.0.0.0/16 tcp dport=80".
   std::string toString() const;
 };
@@ -73,8 +80,5 @@ struct Tuple5 {
 /// Build a cube constraining only the destination-IP field to a prefix
 /// (used for path traffic descriptors in path-sliced placement, §IV-C).
 Ternary dstPrefixCube(const IpPrefix& prefix);
-
-/// Build a cube constraining only the source-IP field to a prefix.
-Ternary srcPrefixCube(const IpPrefix& prefix);
 
 }  // namespace ruleplace::match

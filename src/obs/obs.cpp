@@ -8,34 +8,11 @@
 #include <memory>
 #include <sstream>
 
+#include "util/append.h"
+
 namespace ruleplace::obs {
 
 namespace {
-
-// JSON string escaping for names/labels (metric names are plain ASCII in
-// practice, but labels flow in from callers).
-void appendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 void appendDouble(std::string& out, double v) {
   char buf[64];
@@ -186,7 +163,7 @@ std::string Registry::metricsJson() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out.push_back(',');
     first = false;
-    appendJsonString(out, name);
+    util::appendJsonString(out, name);
     out.push_back(':');
     out += std::to_string(c->value());
   }
@@ -195,7 +172,7 @@ std::string Registry::metricsJson() const {
   for (const auto& [name, agg] : spanAggs_) {
     if (!first) out.push_back(',');
     first = false;
-    appendJsonString(out, name);
+    util::appendJsonString(out, name);
     out += ":{\"count\":" + std::to_string(agg.count) + ",\"total_ms\":";
     appendDouble(out, agg.totalSeconds * 1e3);
     out += ",\"max_ms\":";
@@ -207,7 +184,7 @@ std::string Registry::metricsJson() const {
   for (const auto& [name, h] : histograms_) {
     if (!first) out.push_back(',');
     first = false;
-    appendJsonString(out, name);
+    util::appendJsonString(out, name);
     out += ":{\"count\":" + std::to_string(h->count()) +
            ",\"sum\":" + std::to_string(h->sum()) +
            ",\"max\":" + std::to_string(h->max()) + ",\"buckets\":[";
@@ -234,7 +211,7 @@ std::string Registry::chromeTraceJson() const {
     first = false;
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    appendJsonString(out, label);
+    util::appendJsonString(out, label);
     out += "}}";
   }
   for (const auto& ev : events_) {
@@ -246,12 +223,12 @@ std::string Registry::chromeTraceJson() const {
     out += ",\"dur\":";
     appendDouble(out, ev.durMicros);
     out += ",\"name\":";
-    appendJsonString(out, ev.name);
+    util::appendJsonString(out, ev.name);
     if (!ev.args.empty() || ev.depth > 0) {
       out += ",\"args\":{\"depth\":" + std::to_string(ev.depth);
       for (const auto& [k, v] : ev.args) {
         out.push_back(',');
-        appendJsonString(out, k);
+        util::appendJsonString(out, k);
         out.push_back(':');
         out += std::to_string(v);
       }

@@ -4,9 +4,10 @@
 #include <utility>
 
 #include "classbench/generator.h"
-#include "io/json.h"
+#include "io/policy_text.h"
 #include "topo/fattree.h"
 #include "topo/routing.h"
+#include "util/append.h"
 #include "util/rng.h"
 
 namespace ruleplace::serve {
@@ -20,20 +21,6 @@ classbench::GeneratorConfig policyConfig(const ChurnConfig& config) {
 }
 
 int hostPortsFor(int k) { return k * k * k / 4; }
-
-/// Split a policy's canonical text into protocol rule strings.
-std::vector<std::string> ruleStrings(const acl::Policy& policy) {
-  const std::string text = io::formatPolicy(policy);
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) out.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -121,13 +108,17 @@ std::vector<std::string> churnLines(const ChurnConfig& config,
           hostPorts;
       classbench::PolicyGenerator gen(policyConfig(config),
                                       config.seed ^ (0x9e3779b9u + i));
-      const std::vector<std::string> rules = ruleStrings(gen.generate());
+      const acl::Policy policy = gen.generate();
       line = "{\"op\":\"install\",\"seq\":" + std::to_string(i) +
              ",\"ingress\":" + std::to_string(ingress) +
              ",\"egress\":" + std::to_string(egress) + ",\"rules\":[";
+      const auto& rules = policy.rules();
       for (std::size_t r = 0; r < rules.size(); ++r) {
         if (r > 0) line += ',';
-        line += '"' + io::jsonEscape(rules[r]) + '"';
+        std::string text =
+            rules[r].action == acl::Action::kDrop ? "drop " : "permit ";
+        io::appendMatch(text, rules[r].matchField);
+        util::appendJsonString(line, text);
       }
       line += "]}";
     };

@@ -577,7 +577,9 @@ void Daemon::onCommit(int shard, CommitRecord record) {
   }
 }
 
-Daemon::Composed Daemon::compose() const {
+Daemon::Composed Daemon::compose() const { return composeState(true); }
+
+Daemon::Composed Daemon::composeState(bool withPolicies) const {
   Composed out;
   out.problem.graph = &scenario_->graph;
   const int switchCount = scenario_->graph.switchCount();
@@ -587,10 +589,12 @@ Daemon::Composed Daemon::compose() const {
     const auto snap = shard->snapshot();
     std::vector<int> tagMap(snap->policies.size());
     for (std::size_t l = 0; l < snap->policies.size(); ++l) {
-      tagMap[l] = static_cast<int>(out.problem.policies.size());
-      out.problem.routing.push_back(snap->routing[l]);
-      out.problem.policies.push_back(snap->policies[l]);
+      tagMap[l] = static_cast<int>(out.globalIds.size());
       out.globalIds.push_back(snap->localToGlobal[l]);
+      if (withPolicies) {
+        out.problem.routing.push_back(snap->routing[l]);
+        out.problem.policies.push_back(snap->policies[l]);
+      }
     }
     out.placement.appendMapped(snap->placement, tagMap);
     for (topo::SwitchId sw = 0; sw < switchCount; ++sw) {
@@ -734,7 +738,7 @@ std::string Daemon::handleQuery(const std::string& what) {
            obs::Registry::global().metricsJson() + "}";
   }
   if (what == "placement" || what == "verify") {
-    const Composed c = compose();
+    const Composed c = composeState(what == "verify");
     std::string out = "{\"ok\":true,\"version\":" +
                       std::to_string(c.version) + ",\"policies\":[";
     for (std::size_t i = 0; i < c.globalIds.size(); ++i) {
@@ -756,7 +760,8 @@ std::string Daemon::handleQuery(const std::string& what) {
                "\"";
       }
     } else {
-      out += ",\"placement\":" + io::placementToJson(c.problem, c.placement);
+      out += ",\"placement\":";
+      io::appendPlacementJson(out, c.problem, c.placement);
     }
     out += '}';
     return out;

@@ -180,6 +180,9 @@ class Daemon {
 
   std::string handleEvent(Event event);
   std::string handleQuery(const std::string& what);
+  /// compose(); without `withPolicies`, no policies or routing are copied
+  /// (all a placement read renders).
+  Composed composeState(bool withPolicies) const;
   topo::IngressPaths resolveRouting(const Event& event,
                                     topo::PortId ingress) const;
   void scheduleDrain(int shard);

@@ -61,7 +61,6 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
   Kind kind() const noexcept { return kind_; }
-  bool isNull() const noexcept { return kind_ == Kind::kNull; }
 
   /// Typed accessors throw JsonError on a kind mismatch — the daemon turns
   /// that into a per-line error response.

@@ -10,6 +10,7 @@
 #include "io/report.h"
 #include "io/scenario.h"
 #include "match/tuple5.h"
+#include "util/rng.h"
 
 namespace ruleplace::io {
 namespace {
@@ -77,6 +78,107 @@ TEST(PolicyText, FormatMatchFallsBackToRaw) {
   odd.setBit(match::Tuple5Layout::kSrcIpOffset + 3, 1);  // low bit only
   std::string s = formatMatch(odd);
   EXPECT_EQ(s.rfind("raw ", 0), 0u);
+}
+
+// Oracle for the mask decoder behind formatMatch: every Tuple5-shaped cube
+// renders structurally and parses back to itself; every other cube renders
+// as `raw <ternary>`.
+match::IpPrefix randomPrefix(util::Rng& rng) {
+  const int len = static_cast<int>(rng.below(34)) - 1;  // /32 twice as often
+  const int length = len < 0 ? 32 : len;
+  const auto addr = static_cast<std::uint32_t>(rng.next());
+  return {length == 0 ? 0u : addr & (~0u << (32 - length)), length};
+}
+
+match::Tuple5 randomTuple5(util::Rng& rng) {
+  match::Tuple5 t;
+  t.src = randomPrefix(rng);
+  t.dst = randomPrefix(rng);
+  switch (rng.below(4)) {
+    case 0: t.proto = match::ProtoMatch::any(); break;
+    case 1: t.proto = match::ProtoMatch::tcp(); break;
+    case 2: t.proto = match::ProtoMatch::udp(); break;
+    default:
+      t.proto = {static_cast<std::uint8_t>(rng.below(256)), true};
+  }
+  if (rng.below(2) == 0) {
+    t.srcPort = match::PortMatch::exact(
+        static_cast<std::uint16_t>(rng.below(65536)));
+  }
+  if (rng.below(2) == 0) {
+    t.dstPort = match::PortMatch::exact(
+        static_cast<std::uint16_t>(rng.below(65536)));
+  }
+  return t;
+}
+
+match::Ternary reparse(const std::string& text) {
+  match::Ternary field;
+  acl::Action action;
+  EXPECT_TRUE(parseRuleLine("drop " + text, 1, &field, &action)) << text;
+  return field;
+}
+
+TEST(PolicyText, FormatMatchRoundTripsRandomTuple5Cubes) {
+  util::Rng rng(0x7e5717);
+  for (int i = 0; i < 4000; ++i) {
+    const match::Ternary t = randomTuple5(rng).toTernary();
+    const std::string text = formatMatch(t);
+    ASSERT_EQ(text.rfind("src ", 0), 0u) << text;
+    ASSERT_EQ(reparse(text), t) << text;
+  }
+}
+
+TEST(PolicyText, FormatMatchRendersOtherCubesRaw) {
+  using L = match::Tuple5Layout;
+  util::Rng rng(0x4a3e);
+  for (int i = 0; i < 4000; ++i) {
+    match::Ternary t = randomTuple5(rng).toTernary();
+    switch (rng.below(5)) {
+      case 0:
+      case 1: {  // a gap: a cared bit below an IP field's prefix
+        const int offset =
+            rng.below(2) == 0 ? L::kSrcIpOffset : L::kDstIpOffset;
+        int len = 0;
+        while (len < 32 && t.bit(offset + 31 - len) >= 0) ++len;
+        if (len >= 31) {
+          t.setBit(offset + 31, -1);
+          len = 0;
+        }
+        const int below = len + 1 + static_cast<int>(rng.below(
+                                        static_cast<std::uint64_t>(31 - len)));
+        t.setBit(offset + 31 - below, static_cast<int>(rng.below(2)));
+        break;
+      }
+      case 2:
+      case 3: {  // a partly cared port or proto
+        const int which = static_cast<int>(rng.below(3));
+        const int offset = which == 0   ? L::kSrcPortOffset
+                           : which == 1 ? L::kDstPortOffset
+                                        : L::kProtoOffset;
+        const int bits = which == 2 ? L::kProtoBits : L::kPortBits;
+        for (int b = 0; b < bits; ++b) t.setBit(offset + b, -1);
+        const int cared = 1 + static_cast<int>(rng.below(
+                                  static_cast<std::uint64_t>(bits - 1)));
+        for (int b = 0; b < cared; ++b) {
+          t.setBit(offset + static_cast<int>(rng.below(
+                                static_cast<std::uint64_t>(bits))),
+                   static_cast<int>(rng.below(2)));
+        }
+        break;
+      }
+      default: {  // not the 104-bit layout at all
+        const int width = 1 + static_cast<int>(rng.below(match::kMaxWidth));
+        t = match::Ternary(width == L::kWidth ? width + 1 : width);
+        for (int b = 0; b < t.width(); ++b) {
+          t.setBit(b, static_cast<int>(rng.below(3)) - 1);
+        }
+      }
+    }
+    const std::string text = formatMatch(t);
+    ASSERT_EQ(text, "raw " + t.toString());
+    ASSERT_EQ(reparse(text), t) << text;
+  }
 }
 
 const char* kFig3Scenario = R"(

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/verify.h"
+#include "io/json.h"
 #include "serve/churn_gen.h"
 #include "serve/daemon.h"
 #include "serve/jsonl.h"
@@ -267,6 +268,62 @@ TEST(ServeDaemon, CoalesceAllReplayMatchesOneShotInstall) {
   daemon.flush();
   EXPECT_EQ(daemon.stats().totals.committed, 12);
   EXPECT_EQ(daemon.oneShotDivergence(), "");
+}
+
+TEST(ServeDaemon, PlacementReadRendersTheComposedState) {
+  // The northbound read: {"op":"query","what":"placement"} answers one
+  // JSON line whose "placement" is exactly the composed deployment as
+  // io::placementToJson renders it (tags are dense indices into
+  // "policies", which lists the global policy ids).
+  io::Scenario scenario;
+  ChurnConfig cfg = smallChurn();
+  cfg.installWeight = 0.3;
+  cfg.rerouteWeight = 0.7;
+  cfg.capacityWeight = 0.0;  // capacity events need one shard
+  churnScenario(cfg, scenario);
+  DaemonOptions opts;
+  opts.shards = 2;
+  opts.workers = 2;
+  Daemon daemon(scenario, opts);
+  for (const std::string& line : churnLines(cfg, 0, 40)) {
+    daemon.handleLine(line);
+  }
+  daemon.flush();
+  ASSERT_GT(daemon.stats().totals.committed, 0);
+
+  const std::string reply =
+      daemon.handleLine(R"({"op":"query","what":"placement"})");
+  const Daemon::Composed c = daemon.compose();
+  ASSERT_GT(c.globalIds.size(), scenario.policies.size());  // installs landed
+
+  const JsonValue v = JsonValue::parse(reply);
+  ASSERT_TRUE(v.find("ok")->asBool());
+  const JsonValue::Array& ids = v.find("policies")->asArray();
+  ASSERT_EQ(ids.size(), c.globalIds.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i].asInt(), c.globalIds[i]);
+  }
+  EXPECT_EQ(v.find("version")->asInt(), c.version);
+
+  // "placement" is the last member: compare its bytes verbatim.
+  const std::string key = ",\"placement\":";
+  const std::size_t at = reply.find(key);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(reply.back(), '}');
+  const std::string body =
+      reply.substr(at + key.size(), reply.size() - 1 - at - key.size());
+  EXPECT_EQ(body, io::placementToJson(c.problem, c.placement));
+
+  // Every rendered tag indexes "policies".
+  const JsonValue& placement = *v.find("placement");
+  for (const JsonValue& sw : placement.find("switches")->asArray()) {
+    for (const JsonValue& e : sw.find("entries")->asArray()) {
+      for (const JsonValue& t : e.find("tags")->asArray()) {
+        EXPECT_GE(t.asInt(), 0);
+        EXPECT_LT(t.asInt(), static_cast<std::int64_t>(ids.size()));
+      }
+    }
+  }
 }
 
 TEST(ServeDaemon, MultiShardChurnStaysVerified) {
