@@ -9,53 +9,20 @@
 namespace ruleplace::solver {
 
 void IncrementalOptimizer::ensureVars(int modelVarCount) {
-  while (varCount() < modelVarCount) {
-    Var v = solver_.newVar();
-    varToModel_.emplace(v, static_cast<ModelVar>(varMap_.size()));
+  const int added = modelVarCount - varCount();
+  if (added <= 0) return;
+  const Var first = solver_.newVars(added);
+  owner_.resize(static_cast<std::size_t>(first + added), kNoOwner);
+  for (Var v = first; v < first + added; ++v) {
+    owner_[static_cast<std::size_t>(v)] =
+        static_cast<std::int32_t>(varMap_.size());
     varMap_.push_back(v);
   }
 }
 
-bool IncrementalOptimizer::addGatedGe(
-    const std::vector<std::pair<std::int64_t, ModelVar>>& terms,
-    std::int64_t bound, Lit gate) {
-  std::vector<std::pair<std::int64_t, Lit>> out;
-  out.reserve(terms.size() + 1);
-  for (const auto& [coeff, mv] : terms) {
-    Var v = varMap_.at(static_cast<std::size_t>(mv));
-    if (coeff > 0) {
-      out.push_back({coeff, Lit(v, false)});
-    } else if (coeff < 0) {
-      out.push_back({-coeff, Lit(v, true)});
-      if (__builtin_add_overflow(bound, -coeff, &bound)) {
-        throw std::overflow_error(
-            "IncrementalOptimizer: normalized bound overflows int64");
-      }
-    }
-  }
-  if (bound <= 0) return true;  // trivially satisfied, gated or not
-  out.push_back({bound, ~gate});
-  return solver_.addPB(std::move(out), bound);
-}
-
-bool IncrementalOptimizer::lowerGated(const Constraint& c, Lit gate) {
-  const auto& terms = c.expr.terms();
-  std::int64_t rhs = c.rhs - c.expr.constant();
-  auto negated = [&] {
-    std::vector<std::pair<std::int64_t, ModelVar>> neg;
-    neg.reserve(terms.size());
-    for (const auto& [coeff, v] : terms) neg.push_back({-coeff, v});
-    return neg;
-  };
-  switch (c.cmp) {
-    case Cmp::kGe:
-      return addGatedGe(terms, rhs, gate);
-    case Cmp::kLe:
-      return addGatedGe(negated(), -rhs, gate);
-    case Cmp::kEq:
-      return addGatedGe(terms, rhs, gate) && addGatedGe(negated(), -rhs, gate);
-  }
-  return false;
+std::int32_t IncrementalOptimizer::owner(Var v) const {
+  const std::size_t i = static_cast<std::size_t>(v);
+  return i < owner_.size() ? owner_[i] : kNoOwner;
 }
 
 IncrementalOptimizer::GroupId IncrementalOptimizer::addGroup(
@@ -65,11 +32,13 @@ IncrementalOptimizer::GroupId IncrementalOptimizer::addGroup(
   g.isActive = true;
   Lit gate(g.selector, false);
   for (const Constraint& c : constraints) {
-    if (!lowerGated(c, gate)) break;  // solver went root-UNSAT; okay() says so
+    const ConstraintView row{ExprView(c.expr), c.cmp, c.rhs, c.name};
+    if (!lowerConstraint(solver_, row, varMap_, gate)) break;  // see okay()
   }
   GroupId id = static_cast<GroupId>(groups_.size());
   groups_.push_back(g);
-  selectorGroup_.emplace(g.selector, id);
+  owner_.resize(static_cast<std::size_t>(g.selector) + 1, kNoOwner);
+  owner_[static_cast<std::size_t>(g.selector)] = kGroupBase - id;
   return id;
 }
 
@@ -215,7 +184,7 @@ OptResult IncrementalOptimizer::optimize(
     }
     extract(result);
     if (polish) polish(result.assignment);
-    result.objective = objective.evaluate(result.assignment);
+    result.objective = ExprView(objective).evaluate(result.assignment);
     ++result.improvementSteps;
     haveIncumbent = true;
     // Seed the next step's phases from the incumbent.
@@ -231,14 +200,11 @@ OptResult IncrementalOptimizer::optimize(
       solver_.addClause({~assumptions[i]});
     }
     assumptions.resize(baseCount);
-    std::int64_t rawIncumbent = result.objective - objective.constant();
-    std::vector<std::pair<std::int64_t, ModelVar>> negated;
-    negated.reserve(objective.terms().size());
-    for (const auto& [coeff, v] : objective.terms()) {
-      negated.push_back({-coeff, v});
-    }
     Lit sel(solver_.newVar(), false);
-    if (!addGatedGe(negated, -(rawIncumbent - 1), sel)) {
+    if (!lowerConstraint(solver_,
+                         ConstraintView{ExprView(objective), Cmp::kLe,
+                                        result.objective - 1, NameRef::none()},
+                         varMap_, sel)) {
       return finish(OptStatus::kOptimal);  // cannot improve further
     }
     assumptions.push_back(sel);
@@ -249,8 +215,8 @@ std::vector<IncrementalOptimizer::GroupId> IncrementalOptimizer::coreGroups()
     const {
   std::vector<GroupId> out;
   for (Lit l : lastCore_) {
-    auto it = selectorGroup_.find(l.var());
-    if (it != selectorGroup_.end()) out.push_back(it->second);
+    const std::int32_t o = owner(l.var());
+    if (o <= kGroupBase) out.push_back(kGroupBase - o);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -260,9 +226,8 @@ std::vector<IncrementalOptimizer::GroupId> IncrementalOptimizer::coreGroups()
 std::vector<ModelVar> IncrementalOptimizer::corePins() const {
   std::vector<ModelVar> out;
   for (Lit l : lastCore_) {
-    if (selectorGroup_.count(l.var()) != 0) continue;
-    auto it = varToModel_.find(l.var());
-    if (it != varToModel_.end()) out.push_back(it->second);
+    const std::int32_t o = owner(l.var());
+    if (o >= 0) out.push_back(o);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "solver/model.h"
@@ -98,17 +97,18 @@ class IncrementalOptimizer {
     bool retired = false;
   };
 
-  bool lowerGated(const Constraint& c, Lit gate);
-  bool addGatedGe(const std::vector<std::pair<std::int64_t, ModelVar>>& terms,
-                  std::int64_t bound, Lit gate);
+  // Owner codes of owner_: a model var (>= 0), kNoOwner (objective-bound
+  // selectors), or group g's selector as kGroupBase - g.
+  static constexpr std::int32_t kNoOwner = -1;
+  static constexpr std::int32_t kGroupBase = -2;
+  std::int32_t owner(Var v) const;
   std::vector<Lit> buildAssumptions() const;
   void extract(OptResult& result);
 
   Solver solver_;
   std::vector<Var> varMap_;  // ModelVar -> solver var
-  std::unordered_map<Var, ModelVar> varToModel_;
+  std::vector<std::int32_t> owner_;  // solver var -> owner code (see above)
   std::vector<Group> groups_;
-  std::unordered_map<Var, GroupId> selectorGroup_;
   std::vector<std::pair<ModelVar, bool>> pins_;
   std::vector<Lit> lastCore_;  // assumption literals of the last UNSAT
 };

@@ -32,24 +32,6 @@ void LinearExpr::canonicalize() {
   terms_ = std::move(merged);
 }
 
-std::int64_t LinearExpr::evaluate(const std::vector<bool>& assignment) const {
-  std::int64_t total = constant_;
-  for (const auto& [coeff, v] : terms_) {
-    if (assignment.at(static_cast<std::size_t>(v))) total += coeff;
-  }
-  return total;
-}
-
-bool Constraint::satisfiedBy(const std::vector<bool>& assignment) const {
-  std::int64_t lhs = expr.evaluate(assignment);
-  switch (cmp) {
-    case Cmp::kLe: return lhs <= rhs;
-    case Cmp::kGe: return lhs >= rhs;
-    case Cmp::kEq: return lhs == rhs;
-  }
-  return false;
-}
-
 ModelVar Model::addBinary() {
   ModelVar v = static_cast<ModelVar>(varNames_.size());
   varNames_.push_back(NameRef{NameRef::Kind::kAuto, v, 0, 0});

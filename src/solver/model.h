@@ -118,9 +118,6 @@ class LinearExpr {
   /// common case for encoder-built rows — is left untouched.
   void canonicalize();
 
-  /// Evaluate under a full 0/1 assignment.
-  std::int64_t evaluate(const std::vector<bool>& assignment) const;
-
  private:
   std::vector<Term> terms_;
   std::int64_t constant_ = 0;
@@ -135,6 +132,11 @@ class ExprView {
   ExprView() = default;
   ExprView(const Term* terms, std::uint32_t size, std::int64_t constant)
       : terms_(terms), size_(size), constant_(constant) {}
+  /// View of a builder expression (valid while `e` is alive and unchanged).
+  explicit ExprView(const LinearExpr& e)
+      : terms_(e.terms().data()),
+        size_(static_cast<std::uint32_t>(e.terms().size())),
+        constant_(e.constant()) {}
 
   std::span<const Term> terms() const noexcept { return {terms_, size_}; }
   std::int64_t constant() const noexcept { return constant_; }
@@ -164,8 +166,6 @@ struct Constraint {
   Cmp cmp = Cmp::kLe;
   std::int64_t rhs = 0;
   NameRef name;  ///< for diagnostics; may be empty
-
-  bool satisfiedBy(const std::vector<bool>& assignment) const;
 };
 
 /// Non-owning view of one Model row.

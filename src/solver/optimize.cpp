@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -13,20 +16,22 @@ namespace ruleplace::solver {
 
 namespace {
 
-// Normalize `Σ coeff_i * x_i >= bound` (vars, possibly negative coeffs)
-// into positive-coefficient literal form and feed it to the solver.  When
-// `gate` is a defined literal the constraint is only enforced while `gate`
-// is true: the positive-form bound B is added as a coefficient on ¬gate
+// Normalize `Σ sign·coeff_i * x_i >= bound` (vars, possibly negative
+// coeffs; sign is +1, or -1 to lower the negated row of a kLe / kEq
+// constraint without copying it) into positive-coefficient literal form in
+// the solver's reused term buffer and feed it to the solver.  When `gate`
+// is a defined literal the constraint is only enforced while `gate` is
+// true: the positive-form bound B is added as a coefficient on ¬gate
 // (B·(¬gate) + Σ a_i·l_i ≥ B), so retracting the gate assumption makes the
 // row inert — the selector idiom behind retractable objective bounds and
 // per-policy constraint groups.
-bool addNormalizedGe(Solver& solver, std::span<const Term> terms,
-                     std::int64_t bound, const std::vector<Var>& varMap,
-                     Lit gate = Lit::undef()) {
-  std::vector<std::pair<std::int64_t, Lit>> out;
-  out.reserve(terms.size() + 1);
-  for (const auto& [coeff, mv] : terms) {
-    Var v = varMap[static_cast<std::size_t>(mv)];
+bool lowerGe(Solver& solver, std::span<const Term> terms, std::int64_t sign,
+             std::int64_t bound, const std::vector<Var>& varMap, Lit gate) {
+  std::vector<std::pair<std::int64_t, Lit>>& out = solver.termScratch();
+  out.clear();
+  for (const auto& [rawCoeff, mv] : terms) {
+    const std::int64_t coeff = sign * rawCoeff;
+    const Var v = varMap.at(static_cast<std::size_t>(mv));
     if (coeff > 0) {
       out.push_back({coeff, Lit(v, false)});
     } else if (coeff < 0) {
@@ -34,7 +39,7 @@ bool addNormalizedGe(Solver& solver, std::span<const Term> terms,
       out.push_back({-coeff, Lit(v, true)});
       if (__builtin_add_overflow(bound, -coeff, &bound)) {
         throw std::overflow_error(
-            "addNormalizedGe: normalized bound overflows int64");
+            "lowerConstraint: normalized bound overflows int64");
       }
     }
   }
@@ -42,7 +47,7 @@ bool addNormalizedGe(Solver& solver, std::span<const Term> terms,
     if (bound <= 0) return true;  // trivially satisfied, gated or not
     out.push_back({bound, ~gate});
   }
-  return solver.addPB(std::move(out), bound);
+  return solver.addPBInPlace(out, bound);
 }
 
 // Greedy 1-opt polisher: drop placed variables with positive objective
@@ -53,17 +58,32 @@ bool addNormalizedGe(Solver& solver, std::span<const Term> terms,
 class Polisher {
  public:
   explicit Polisher(const Model& model) : model_(&model) {
-    occs_.resize(static_cast<std::size_t>(model.varCount()));
+    // CSR occurrence lists, two passes over the rows: count into
+    // occStart_[v + 2] and prefix-sum, then fill through the cursor
+    // occStart_[v + 1], which stops at v's end, i.e. at v + 1's start.
+    const std::size_t n = static_cast<std::size_t>(model.varCount());
+    occStart_.assign(n + 2, 0);
     const auto& cons = model.constraints();
     for (std::size_t ci = 0; ci < cons.size(); ++ci) {
       for (const auto& [coeff, v] : cons[ci].expr.terms()) {
-        occs_[static_cast<std::size_t>(v)].push_back(
-            {static_cast<std::int32_t>(ci), coeff});
+        (void)coeff;
+        ++occStart_[static_cast<std::size_t>(v) + 2];
       }
     }
+    std::partial_sum(occStart_.begin(), occStart_.end(), occStart_.begin());
+    occs_.resize(occStart_[n + 1]);
+    for (std::size_t ci = 0; ci < cons.size(); ++ci) {
+      for (const auto& [coeff, v] : cons[ci].expr.terms()) {
+        occs_[occStart_[static_cast<std::size_t>(v) + 1]++] = {
+            static_cast<std::int32_t>(ci), coeff};
+      }
+    }
+    // Objective variables are unique (Model::setObjective canonicalizes),
+    // so a dense coefficient table is exact.
+    objCoeff_.assign(n, 0);
     for (const auto& [coeff, v] : model.objective().terms()) {
       if (coeff > 0) candidates_.push_back({coeff, v});
-      objCoeff_.emplace(v, coeff);
+      objCoeff_[static_cast<std::size_t>(v)] = coeff;
     }
     std::sort(candidates_.begin(), candidates_.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -87,7 +107,7 @@ class Polisher {
                    std::vector<std::int64_t>& lhs) const {
     const auto& cons = model_->constraints();
     auto removable = [&](ModelVar v) {
-      for (const auto& [ci, coeff] : occs_[static_cast<std::size_t>(v)]) {
+      for (const auto& [ci, coeff] : occs(v)) {
         std::int64_t next = lhs[static_cast<std::size_t>(ci)] - coeff;
         const ConstraintView c = cons[static_cast<std::size_t>(ci)];
         switch (c.cmp) {
@@ -112,7 +132,7 @@ class Polisher {
         if (!assignment[static_cast<std::size_t>(v)]) continue;
         if (!removable(v)) continue;
         assignment[static_cast<std::size_t>(v)] = false;
-        for (const auto& [ci, cf] : occs_[static_cast<std::size_t>(v)]) {
+        for (const auto& [ci, cf] : occs(v)) {
           lhs[static_cast<std::size_t>(ci)] -= cf;
         }
         changed = true;
@@ -138,7 +158,9 @@ class Polisher {
       if (assignment[static_cast<std::size_t>(seed)]) continue;
       // Tentative cascade with incremental lhs deltas.
       std::vector<ModelVar> flipped;
-      std::unordered_map<ModelVar, bool> inCascade;
+      auto inCascade = [&flipped](ModelVar v) {  // at most 24 members
+        return std::find(flipped.begin(), flipped.end(), v) != flipped.end();
+      };
       std::unordered_map<std::int32_t, std::int64_t> lhsDelta;
       std::vector<ModelVar> queue{seed};
       std::int64_t delta = 0;
@@ -146,18 +168,12 @@ class Polisher {
       while (ok && !queue.empty() && flipped.size() < 24) {
         ModelVar v = queue.back();
         queue.pop_back();
-        if (assignment[static_cast<std::size_t>(v)] || inCascade.count(v)) {
-          continue;
-        }
-        inCascade.emplace(v, true);
+        if (assignment[static_cast<std::size_t>(v)] || inCascade(v)) continue;
         flipped.push_back(v);
-        auto oc = objCoeff_.find(v);
-        if (oc != objCoeff_.end()) delta += oc->second;
-        for (const auto& [ci, cf] : occs_[static_cast<std::size_t>(v)]) {
-          lhsDelta[ci] += cf;
-        }
+        delta += objCoeff_[static_cast<std::size_t>(v)];
+        for (const auto& [ci, cf] : occs(v)) lhsDelta[ci] += cf;
         // Repair constraints v participates in.
-        for (const auto& [ci, cf] : occs_[static_cast<std::size_t>(v)]) {
+        for (const auto& [ci, cf] : occs(v)) {
           (void)cf;
           const ConstraintView c = cons[static_cast<std::size_t>(ci)];
           std::int64_t now = lhs[static_cast<std::size_t>(ci)] + lhsDelta[ci];
@@ -173,8 +189,7 @@ class Polisher {
           for (const auto& [tc, tv] : c.expr.terms()) {
             bool helps = (c.cmp == Cmp::kLe) ? tc < 0 : tc > 0;
             if (!helps) continue;
-            if (assignment[static_cast<std::size_t>(tv)] ||
-                inCascade.count(tv)) {
+            if (assignment[static_cast<std::size_t>(tv)] || inCascade(tv)) {
               continue;
             }
             queue.push_back(tv);
@@ -198,10 +213,18 @@ class Polisher {
     return changedAny;
   }
 
+  // (row index, coefficient) of every occurrence of `v`, in row order.
+  std::span<const std::pair<std::int32_t, std::int64_t>> occs(
+      ModelVar v) const {
+    const std::size_t i = static_cast<std::size_t>(v);
+    return {occs_.data() + occStart_[i], occs_.data() + occStart_[i + 1]};
+  }
+
   const Model* model_;
-  std::vector<std::vector<std::pair<std::int32_t, std::int64_t>>> occs_;
+  std::vector<std::size_t> occStart_;  // CSR starts by variable (+1 spare)
+  std::vector<std::pair<std::int32_t, std::int64_t>> occs_;
   std::vector<std::pair<std::int64_t, ModelVar>> candidates_;
-  std::unordered_map<ModelVar, std::int64_t> objCoeff_;
+  std::vector<std::int64_t> objCoeff_;  // by variable; 0 = not in objective
 };
 
 // Flush the delta between two SolverStats snapshots into the global
@@ -232,43 +255,20 @@ void flushStatsDelta(const SolverStats& now, const SolverStats& prev) {
 
 }  // namespace
 
-namespace {
-
-bool lowerTerms(Solver& solver, std::span<const Term> terms, Cmp cmp,
-                std::int64_t rhs, const std::vector<Var>& varMap) {
-  switch (cmp) {
+bool lowerConstraint(Solver& solver, const ConstraintView& row,
+                     const std::vector<Var>& varMap, Lit gate) {
+  const std::span<const Term> terms = row.expr.terms();
+  const std::int64_t rhs = row.rhs - row.expr.constant();
+  switch (row.cmp) {
     case Cmp::kGe:
-      return addNormalizedGe(solver, terms, rhs, varMap);
-    case Cmp::kLe: {
-      std::vector<Term> negated;
-      negated.reserve(terms.size());
-      for (const auto& [coeff, v] : terms) negated.push_back({-coeff, v});
-      return addNormalizedGe(solver, negated, -rhs, varMap);
-    }
+      return lowerGe(solver, terms, 1, rhs, varMap, gate);
+    case Cmp::kLe:
+      return lowerGe(solver, terms, -1, -rhs, varMap, gate);
     case Cmp::kEq:
-      if (!addNormalizedGe(solver, terms, rhs, varMap)) return false;
-      {
-        std::vector<Term> negated;
-        negated.reserve(terms.size());
-        for (const auto& [coeff, v] : terms) negated.push_back({-coeff, v});
-        return addNormalizedGe(solver, negated, -rhs, varMap);
-      }
+      return lowerGe(solver, terms, 1, rhs, varMap, gate) &&
+             lowerGe(solver, terms, -1, -rhs, varMap, gate);
   }
   return false;
-}
-
-}  // namespace
-
-bool lowerConstraint(Solver& solver, const Constraint& c,
-                     const std::vector<Var>& varMap) {
-  return lowerTerms(solver, c.expr.terms(), c.cmp, c.rhs - c.expr.constant(),
-                    varMap);
-}
-
-bool lowerConstraint(Solver& solver, const ConstraintView& c,
-                     const std::vector<Var>& varMap) {
-  return lowerTerms(solver, c.expr.terms(), c.cmp, c.rhs - c.expr.constant(),
-                    varMap);
 }
 
 OptResult Optimizer::solve(const Model& model, const Budget& budget) {
@@ -310,7 +310,14 @@ OptResult Optimizer::run(const Model& model, bool useObjective,
 
   obs::Span runSpan("solver.optimize");
 
-  Solver solver;
+  // Freeing a large solver (clause arena, per-literal watch and occurrence
+  // lists) is a visible share of the stage, so it is timed as its own span.
+  auto teardown = [](Solver* s) {
+    obs::Span teardownSpan("solver.teardown");
+    delete s;
+  };
+  const std::unique_ptr<Solver, decltype(teardown)> owned(new Solver, teardown);
+  Solver& solver = *owned;
   if (cfg != nullptr) solver.setConfig(*cfg);
   // The budget bounds the WHOLE optimization, not each strengthening
   // iteration: both resources are threaded through the loop.  Elapsed
@@ -341,39 +348,45 @@ OptResult Optimizer::run(const Model& model, bool useObjective,
   auto exhausted = [&](const Budget& b) {
     return b.timeExhausted() || b.deadline.expired();
   };
-  std::vector<Var> varMap;
-  varMap.reserve(static_cast<std::size_t>(model.varCount()));
-  for (int i = 0; i < model.varCount(); ++i) varMap.push_back(solver.newVar());
-  if (hint != nullptr) {
-    for (const auto& [mv, value] : *hint) {
-      solver.setPolarity(varMap.at(static_cast<std::size_t>(mv)), value);
-    }
-  }
-
   OptResult result;
-  for (const auto& c : model.constraints()) {
-    if (!lowerConstraint(solver, c, varMap)) {
-      result.status = OptStatus::kInfeasible;
-      result.stats = solver.stats();
-      return result;
-    }
-  }
-
+  auto infeasible = [&] {
+    result.status = OptStatus::kInfeasible;
+    result.stats = solver.stats();
+    return result;
+  };
   const bool optimizing = useObjective && !model.objective().terms().empty();
-  // Install the declared objective lower bound as a native constraint —
-  // the counting argument CDCL cannot re-derive on its own.
-  if (optimizing && model.hasObjectiveLowerBound()) {
-    std::int64_t rawBound =
-        model.objectiveLowerBound() - model.objective().constant();
-    if (!addNormalizedGe(solver, model.objective().terms(), rawBound,
+  std::vector<Var> varMap(static_cast<std::size_t>(model.varCount()));
+  {
+    obs::Span setupSpan("solver.setup");
+    std::iota(varMap.begin(), varMap.end(), solver.newVars(model.varCount()));
+    if (hint != nullptr) {
+      for (const auto& [mv, value] : *hint) {
+        solver.setPolarity(varMap.at(static_cast<std::size_t>(mv)), value);
+      }
+    }
+    for (const auto& c : model.constraints()) {
+      if (!lowerConstraint(solver, c, varMap)) return infeasible();
+    }
+    // Install the declared objective lower bound as a native constraint —
+    // the counting argument CDCL cannot re-derive on its own.
+    if (optimizing && model.hasObjectiveLowerBound() &&
+        !lowerConstraint(solver,
+                         ConstraintView{model.objective(), Cmp::kGe,
+                                        model.objectiveLowerBound(),
+                                        NameRef::none()},
                          varMap)) {
-      result.status = OptStatus::kInfeasible;
-      result.stats = solver.stats();
-      return result;
+      return infeasible();
     }
   }
+  // The polisher is built on the first incumbent above the declared lower
+  // bound.  One at the bound is never polished: every polisher move
+  // strictly lowers the objective, and no feasible assignment lies below
+  // a valid lower bound, so polishing could not change it.
   std::optional<Polisher> polisher;
-  if (optimizing) polisher.emplace(model);
+  auto atBound = [&](std::int64_t objective) {
+    return model.hasObjectiveLowerBound() &&
+           objective <= model.objectiveLowerBound();
+  };
 
   bool haveIncumbent = false;
   SolverStats flushed;  // last snapshot pushed to the metrics registry
@@ -420,22 +433,15 @@ OptResult Optimizer::run(const Model& model, bool useObjective,
       throw std::logic_error(
           "optimizer postcondition violated: solver model infeasible");
     }
-    if (polisher.has_value()) {
+    std::int64_t objective = model.objective().evaluate(assignment);
+    if (optimizing && !atBound(objective)) {
       obs::Span polishSpan("solver.polish");
+      if (!polisher.has_value()) polisher.emplace(model);
       polisher->polish(assignment);
+      objective = model.objective().evaluate(assignment);
     }
     result.assignment = std::move(assignment);
-    result.objective = model.objective().evaluate(result.assignment);
-    // Seed the next step's phases from the *polished* incumbent: the
-    // polisher typically strips many gratuitous placements, and without
-    // re-seeding the saved phases still reflect the unpolished model, so
-    // the next SAT step rediscovers them from a worse starting point.
-    if (optimizing) {
-      for (int i = 0; i < model.varCount(); ++i) {
-        solver.setPolarity(varMap[static_cast<std::size_t>(i)],
-                           result.assignment[static_cast<std::size_t>(i)]);
-      }
-    }
+    result.objective = objective;
     haveIncumbent = true;
     ++result.improvementSteps;
     if (obs::enabled()) {
@@ -446,26 +452,29 @@ OptResult Optimizer::run(const Model& model, bool useObjective,
       result.status = OptStatus::kOptimal;  // nothing to optimize
       return result;
     }
-    if (model.hasObjectiveLowerBound() &&
-        result.objective <= model.objectiveLowerBound()) {
+    if (atBound(result.objective)) {
       result.status = OptStatus::kOptimal;  // incumbent meets the bound
       return result;
+    }
+    // Seed the next step's phases from the *polished* incumbent: the
+    // polisher typically strips many gratuitous placements, and without
+    // re-seeding the saved phases still reflect the unpolished model, so
+    // the next SAT step rediscovers them from a worse starting point.
+    for (int i = 0; i < model.varCount(); ++i) {
+      solver.setPolarity(varMap[static_cast<std::size_t>(i)],
+                         result.assignment[static_cast<std::size_t>(i)]);
     }
     // Strengthen: objective <= incumbent - 1, i.e. -obj >= -(incumbent-1),
     // gated behind a fresh selector.  The previous step's bound is implied
     // by the tighter one, so its selector is retired with a unit clause —
     // the old row goes inert instead of accumulating watch effort.
-    std::int64_t rawIncumbent =
-        result.objective - model.objective().constant();
-    std::vector<std::pair<std::int64_t, ModelVar>> negated;
-    negated.reserve(model.objective().terms().size());
-    for (const auto& [coeff, v] : model.objective().terms()) {
-      negated.push_back({-coeff, v});
-    }
     for (Lit old : assumptions) solver.addClause({~old});
     assumptions.clear();
     Lit sel(solver.newVar(), false);
-    if (!addNormalizedGe(solver, negated, -(rawIncumbent - 1), varMap, sel)) {
+    if (!lowerConstraint(solver,
+                         ConstraintView{model.objective(), Cmp::kLe,
+                                        result.objective - 1, NameRef::none()},
+                         varMap, sel)) {
       result.status = OptStatus::kOptimal;  // cannot improve further
       return result;
     }

@@ -82,13 +82,13 @@ class Optimizer {
                        const Solver::Config* cfg = nullptr);
 };
 
-/// Lower one model constraint into the solver.  Exposed for white-box tests.
-/// Returns false if the solver became root-UNSAT.  Overloads cover both the
-/// builder form (incremental constraint groups, tests) and the Model's CSR
-/// row views.
-bool lowerConstraint(Solver& solver, const Constraint& c,
-                     const std::vector<Var>& varMap);
-bool lowerConstraint(Solver& solver, const ConstraintView& c,
-                     const std::vector<Var>& varMap);
+/// Lower one model row into the solver: the one normalize-and-gate routine
+/// behind Optimizer and IncrementalOptimizer.  Terms are normalized to
+/// positive-coefficient literals in the solver's reused term buffer (kLe /
+/// kEq rows are negated on the fly, not copied).  With a defined `gate` the
+/// row is enforced only while `gate` is true (see incremental.h).  Returns
+/// false if the solver became root-UNSAT.
+bool lowerConstraint(Solver& solver, const ConstraintView& row,
+                     const std::vector<Var>& varMap, Lit gate = Lit::undef());
 
 }  // namespace ruleplace::solver

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace ruleplace::solver {
@@ -43,24 +44,22 @@ void Solver::setConfig(const Config& cfg) {
   if (rngState_ == 0) rngState_ = 0x9e3779b97f4a7c15ull;
 }
 
-Var Solver::newVar() {
-  Var v = static_cast<Var>(assigns_.size());
-  assigns_.push_back(LBool::kUndef);
-  polarity_.push_back(false);  // "do not place" is the natural first guess
-  level_.push_back(0);
-  trailIndex_.push_back(-1);
-  reasons_.push_back({});
-  activity_.push_back(0.0);
-  heapIndex_.push_back(-1);
-  seen_.push_back(false);
-  watches_.emplace_back();
-  watches_.emplace_back();
-  cardOccs_.emplace_back();
-  cardOccs_.emplace_back();
-  pbOccs_.emplace_back();
-  pbOccs_.emplace_back();
-  heapInsert(v);
-  return v;
+Var Solver::newVars(int n) {
+  const Var first = static_cast<Var>(assigns_.size());
+  const std::size_t vars = assigns_.size() + static_cast<std::size_t>(n);
+  assigns_.resize(vars, LBool::kUndef);
+  polarity_.resize(vars, false);  // "do not place" is the natural first guess
+  level_.resize(vars, 0);
+  trailIndex_.resize(vars, -1);
+  reasons_.resize(vars);
+  activity_.resize(vars, 0.0);
+  heapIndex_.resize(vars, -1);
+  seen_.resize(vars, false);
+  watches_.resize(2 * vars);
+  cardOccs_.resize(2 * vars);
+  pbOccs_.resize(2 * vars);
+  for (Var v = first; v < static_cast<Var>(vars); ++v) heapInsert(v);
+  return first;
 }
 
 // ---- constraint addition ----------------------------------------------------
@@ -70,31 +69,37 @@ bool Solver::addClause(std::vector<Lit> lits) {
   if (decisionLevel() != 0) {
     throw std::logic_error("constraints may only be added at level 0");
   }
-  // Remove duplicate and root-false literals; detect tautology / root-true.
   std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+  return addSortedClause(lits);
+}
+
+bool Solver::addSortedClause(std::span<Lit> lits) {
+  // Remove duplicate and root-false literals; detect tautology / root-true.
+  // Survivors are compacted in place (a write index never passes the read
+  // index), so the caller's buffer doubles as the output.
+  std::size_t n = 0;
   Lit prev = Lit::undef();
   for (Lit l : lits) {
     if (value(l) == LBool::kTrue) return true;     // already satisfied
     if (l == ~prev) return true;                   // tautology
     if (value(l) == LBool::kFalse || l == prev) continue;
-    out.push_back(l);
+    lits[n++] = l;
     prev = l;
   }
-  if (out.empty()) {
+  if (n == 0) {
     ok_ = false;
     return false;
   }
-  if (out.size() == 1) {
-    if (!enqueue(out[0], Reason{})) ok_ = false;
+  if (n == 1) {
+    if (!enqueue(lits[0], Reason{})) ok_ = false;
     return ok_;
   }
-  pushClause(out, 0.0, 0, false);
+  pushClause(lits.first(n), 0.0, 0, false);
   attachClause(static_cast<std::int32_t>(clauses_.size() - 1));
   return true;
 }
 
-void Solver::pushClause(const std::vector<Lit>& lits, double activity, int lbd,
+void Solver::pushClause(std::span<const Lit> lits, double activity, int lbd,
                         bool learnt) {
   Clause c;
   c.lits = clauseArena_.allocArray<Lit>(lits.size());
@@ -140,6 +145,10 @@ bool Solver::addCardinality(std::vector<Lit> lits, int bound) {
     for (Lit l : lits) terms.push_back({1, l});
     return addPB(std::move(terms), bound);
   }
+  return addUniqueCardinality(std::move(lits), bound);
+}
+
+bool Solver::addUniqueCardinality(std::vector<Lit> lits, int bound) {
   if (static_cast<int>(lits.size()) < bound) {
     ok_ = false;
     return false;
@@ -173,8 +182,8 @@ bool Solver::addCardinality(std::vector<Lit> lits, int bound) {
   return true;
 }
 
-bool Solver::addPB(std::vector<std::pair<std::int64_t, Lit>> terms,
-                   std::int64_t bound) {
+bool Solver::addPBInPlace(std::vector<std::pair<std::int64_t, Lit>>& terms,
+                          std::int64_t bound) {
   if (!ok_) return false;
   if (decisionLevel() != 0) {
     throw std::logic_error("constraints may only be added at level 0");
@@ -191,9 +200,13 @@ bool Solver::addPB(std::vector<std::pair<std::int64_t, Lit>> terms,
   // residual |a - b| stays on the stronger literal.  The possibleSum /
   // falseCount propagation counters assume each variable occurs at most
   // once per constraint; without this a duplicated literal would be
-  // double-counted on a single assignment.
-  std::sort(terms.begin(), terms.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
+  // double-counted on a single assignment.  Lowered model rows arrive
+  // sorted by literal already (canonical rows, gate last), so the sort is
+  // skipped for them; any literal-sorted order merges to the same terms.
+  auto byLit = [](const auto& x, const auto& y) { return x.second < y.second; };
+  if (!std::is_sorted(terms.begin(), terms.end(), byLit)) {
+    std::sort(terms.begin(), terms.end(), byLit);
+  }
   std::size_t j = 0;
   for (std::size_t i = 0; i < terms.size(); ++i) {
     if (j > 0 && terms[i].second == terms[j - 1].second) {
@@ -271,18 +284,28 @@ bool Solver::addPB(std::vector<std::pair<std::int64_t, Lit>> terms,
     }
   }
   if (allEqual && !terms.empty()) {
-    std::int64_t w = terms.front().first;
-    std::vector<Lit> lits;
-    lits.reserve(terms.size());
+    // The terms are unique and literal-sorted here, which is exactly what
+    // addClause / addCardinality would produce after their own sorts, so
+    // the row goes straight to clause or cardinality storage.
+    const std::int64_t w = terms.front().first;
+    const std::int64_t k = (bound + w - 1) / w;
+    if (k > static_cast<std::int64_t>(terms.size())) {
+      ok_ = false;
+      return false;
+    }
+    litScratch_.clear();
     for (const auto& [coeff, lit] : terms) {
       (void)coeff;
-      lits.push_back(lit);
+      litScratch_.push_back(lit);
     }
-    return addCardinality(std::move(lits), static_cast<int>((bound + w - 1) / w));
+    if (k == 1) return addSortedClause(litScratch_);
+    return addUniqueCardinality(
+        std::vector<Lit>(litScratch_.begin(), litScratch_.end()),
+        static_cast<int>(k));
   }
 
   PB pb;
-  pb.terms = std::move(terms);
+  pb.terms.assign(terms.begin(), terms.end());
   pb.bound = bound;
   std::sort(pb.terms.begin(), pb.terms.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "solver/types.h"
@@ -49,7 +50,10 @@ class Solver {
   void setConfig(const Config& cfg);
 
   /// Create a fresh variable; returns its index (dense from 0).
-  Var newVar();
+  Var newVar() { return newVars(1); }
+  /// Create `n` fresh variables, growing every per-variable and per-literal
+  /// array once; returns the first new index.
+  Var newVars(int n);
   int varCount() const noexcept { return static_cast<int>(assigns_.size()); }
 
   /// Add a clause Σ l_i >= 1. Returns false if the solver became
@@ -63,7 +67,16 @@ class Solver {
   /// Add a pseudo-Boolean constraint Σ coeff_i * lit_i >= bound with
   /// strictly positive coefficients.
   bool addPB(std::vector<std::pair<std::int64_t, Lit>> terms,
-             std::int64_t bound);
+             std::int64_t bound) {
+    return addPBInPlace(terms, bound);
+  }
+  /// addPB that normalizes `terms` in place, leaving it unspecified, so a
+  /// lowering loop reuses one buffer — e.g. termScratch() — for every row.
+  bool addPBInPlace(std::vector<std::pair<std::int64_t, Lit>>& terms,
+                    std::int64_t bound);
+  std::vector<std::pair<std::int64_t, Lit>>& termScratch() noexcept {
+    return termScratch_;
+  }
 
   /// CDCL search. kSat leaves a full model readable via modelValue().
   SolveStatus solve(const Budget& budget = Budget::unlimited());
@@ -167,6 +180,8 @@ class Solver {
   std::vector<std::int32_t> heapIndex_;  // var -> heap slot or -1
 
   std::vector<bool> seen_;  // scratch for analyze()
+  std::vector<Lit> litScratch_;  // scratch for addPBInPlace's clause rows
+  std::vector<std::pair<std::int64_t, Lit>> termScratch_;
 
   SolverStats stats_;
   bool ok_ = true;
@@ -196,8 +211,12 @@ class Solver {
   }
 
   /// Copy `lits` into clauseArena_ and append a Clause viewing the copy.
-  void pushClause(const std::vector<Lit>& lits, double activity, int lbd,
+  void pushClause(std::span<const Lit> lits, double activity, int lbd,
                   bool learnt);
+  /// addClause / addCardinality past their sort: `lits` is sorted by
+  /// literal, and for the cardinality each variable occurs once.
+  bool addSortedClause(std::span<Lit> lits);
+  bool addUniqueCardinality(std::vector<Lit> lits, int bound);
 
   void attachClause(std::int32_t idx);
   bool enqueue(Lit p, Reason from);

@@ -6,8 +6,10 @@
 
 #include "core/encoder.h"
 #include "core/greedy.h"
+#include "core/instance.h"
 #include "core/placer.h"
 #include "core/verify.h"
+#include "io/json.h"
 #include "match/ternary.h"
 
 namespace ruleplace::core {
@@ -391,6 +393,65 @@ TEST(Encoder, MergingRejectsNonTotalRulesObjective) {
   opts.encoder.enableMerging = true;
   opts.encoder.objective = ObjectiveKind::kUpstreamTraffic;
   EXPECT_THROW(place(p, opts), std::invalid_argument);
+}
+
+// Golden bit-identity of the whole optimize loop on a small Fat-Tree
+// instance that misses the encoder's lower bound, so every incumbent goes
+// through the polisher: with merging off its removal pass strips
+// placements (117 -> 113 on the first incumbent), with merging on its
+// flip-up cascade completes a merge group.  A conflict budget keeps the
+// run deterministic and short.  Changing the lowering, the polisher or
+// solver set-up must leave these bytes and counters exactly as they are.
+std::uint64_t fnv64(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct GoldenRun {
+  bool merge;
+  std::int64_t objective;
+  std::size_t jsonBytes;
+  std::uint64_t jsonFnv;
+  std::int64_t decisions;
+  std::int64_t propagations;
+  std::int64_t conflicts;
+};
+
+TEST(Placer, PolishedSearchIsBitIdenticalToGolden) {
+  InstanceConfig cfg;
+  cfg.fatTreeK = 4;
+  cfg.capacity = 6;
+  cfg.ingressCount = 8;
+  cfg.totalPaths = 24;
+  cfg.rulesPerPolicy = 10;
+  cfg.mergeableRules = 3;
+  cfg.seed = 2;
+  const Instance inst(cfg);
+  for (const GoldenRun& g :
+       {GoldenRun{false, 113, 13384, 0x5e0fb66974f93688ull, 4274, 103889,
+                  2000},
+        GoldenRun{true, 102, 12289, 0x8cfbaf6781751d7full, 5194, 139003,
+                  2000}}) {
+    PlaceOptions opts;
+    opts.threads = 1;
+    opts.encoder.enableMerging = g.merge;
+    opts.budget = solver::Budget::conflicts(2000);
+    PlaceOutcome out = place(inst.problem(), opts);
+    ASSERT_EQ(out.status, solver::OptStatus::kFeasible) << "merge " << g.merge;
+    EXPECT_EQ(out.objective, g.objective) << "merge " << g.merge;
+    const std::string json = io::placementToJson(out.solvedProblem,
+                                                 out.placement);
+    EXPECT_EQ(json.size(), g.jsonBytes) << "merge " << g.merge;
+    EXPECT_EQ(fnv64(json), g.jsonFnv) << "merge " << g.merge;
+    EXPECT_EQ(out.solverStats.decisions, g.decisions) << "merge " << g.merge;
+    EXPECT_EQ(out.solverStats.propagations, g.propagations)
+        << "merge " << g.merge;
+    EXPECT_EQ(out.solverStats.conflicts, g.conflicts) << "merge " << g.merge;
+  }
 }
 
 }  // namespace

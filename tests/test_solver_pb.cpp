@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "solver/bruteforce.h"
 #include "solver/optimize.h"
 #include "solver/sat.h"
@@ -343,6 +346,183 @@ TEST_P(MultisetCardCrossCheck, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultisetCardCrossCheck,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------------
+// Lowering fast paths.  addPB skips its literal sort when the input is
+// sorted already (every canonical model row), and rows whose coefficients
+// all end up equal go straight to clause or cardinality storage.  Random
+// rows — repeated variables, opposite-sign repeats that become x/¬x pairs,
+// mixed and all-equal coefficients, gated and ungated — are lowered into
+// two solvers, terms in literal order and shuffled.  The two must agree on
+// everything (add-time verdicts, okay(), status, model, search counters),
+// and both with a brute-force evaluation of the raw rows.
+
+struct RawRow {
+  std::vector<Term> terms;
+  Cmp cmp = Cmp::kGe;
+  std::int64_t rhs = 0;
+  bool gated = false;
+};
+
+bool rowHolds(const RawRow& r, std::uint32_t mask) {
+  std::int64_t lhs = 0;
+  for (const auto& [coeff, v] : r.terms) {
+    if ((mask >> v) & 1u) lhs += coeff;
+  }
+  switch (r.cmp) {
+    case Cmp::kLe: return lhs <= r.rhs;
+    case Cmp::kGe: return lhs >= r.rhs;
+    case Cmp::kEq: return lhs == r.rhs;
+  }
+  return false;
+}
+
+// Literal order of a row's first lowered half: a term becomes a positive
+// literal when its coefficient points the same way as the comparison.
+std::vector<Term> literalSorted(std::vector<Term> terms, Cmp cmp) {
+  auto negLit = [cmp](std::int64_t c) {
+    return cmp == Cmp::kLe ? c >= 0 : c <= 0;
+  };
+  std::sort(terms.begin(), terms.end(), [&](const Term& a, const Term& b) {
+    if (a.second != b.second) return a.second < b.second;
+    return !negLit(a.first) && negLit(b.first);
+  });
+  return terms;
+}
+
+class LoweringFastPath : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LoweringFastPath, SortedAndShuffledRowsAgree) {
+  util::Rng rng(GetParam() * 1361);
+  for (int round = 0; round < 40; ++round) {
+    const int nVars = 6;
+    std::vector<RawRow> rows;
+    const int nRows = static_cast<int>(rng.range(2, 5));
+    for (int c = 0; c < nRows; ++c) {
+      RawRow row;
+      const bool allEqual = rng.chance(0.5);
+      const std::int64_t mag = rng.range(1, 3);
+      const int k = static_cast<int>(rng.range(1, 6));
+      for (int t = 0; t < k; ++t) {
+        const std::int64_t m = allEqual ? mag : rng.range(1, 4);
+        row.terms.push_back({rng.chance(0.3) ? -m : m,
+                             static_cast<ModelVar>(rng.below(nVars))});
+      }
+      const auto cmpPick = rng.below(5);
+      row.cmp = cmpPick < 2 ? Cmp::kGe : cmpPick < 4 ? Cmp::kLe : Cmp::kEq;
+      row.rhs = rng.range(-2, 6);
+      row.gated = rng.chance(0.4);
+      rows.push_back(std::move(row));
+    }
+
+    Solver sorted;
+    Solver shuffled;
+    std::vector<Var> varMap;
+    for (int v = 0; v < nVars; ++v) {
+      varMap.push_back(sorted.newVar());
+      shuffled.newVar();
+    }
+    std::vector<Lit> assumptions;
+    std::vector<bool> enforced;
+    bool addedOk = true;
+    for (const RawRow& row : rows) {
+      Lit gate = Lit::undef();
+      if (row.gated) {
+        gate = Lit(sorted.newVar(), false);
+        shuffled.newVar();
+      }
+      // An unassumed gate leaves its row free to be switched off.
+      const bool assume = !row.gated || rng.chance(0.7);
+      if (row.gated && assume) assumptions.push_back(gate);
+      enforced.push_back(assume);
+      Constraint a;
+      Constraint b;
+      for (const auto& [coeff, v] : literalSorted(row.terms, row.cmp)) {
+        a.expr.add(coeff, v);
+      }
+      std::vector<Term> perm = row.terms;
+      for (std::size_t i = perm.size(); i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.below(i)]);
+      }
+      for (const auto& [coeff, v] : perm) b.expr.add(coeff, v);
+      a.cmp = b.cmp = row.cmp;
+      a.rhs = b.rhs = row.rhs;
+      const bool okA = lowerConstraint(
+          sorted, ConstraintView{ExprView(a.expr), a.cmp, a.rhs, a.name},
+          varMap, gate);
+      const bool okB = lowerConstraint(
+          shuffled, ConstraintView{ExprView(b.expr), b.cmp, b.rhs, b.name},
+          varMap, gate);
+      ASSERT_EQ(okA, okB) << "round " << round;
+      ASSERT_EQ(sorted.okay(), shuffled.okay()) << "round " << round;
+      if (!okA) {
+        addedOk = false;
+        break;
+      }
+    }
+    bool expected = false;
+    for (std::uint32_t mask = 0; mask < (1u << nVars) && !expected; ++mask) {
+      bool all = true;
+      for (std::size_t i = 0; i < rows.size() && all; ++i) {
+        all = !enforced[i] || rowHolds(rows[i], mask);
+      }
+      expected = all;
+    }
+    if (!addedOk) {
+      // Add-time UNSAT of a prefix implies the whole system is UNSAT.
+      EXPECT_FALSE(expected) << "round " << round;
+      continue;
+    }
+    const SolveStatus stA = sorted.solve(assumptions, Budget::unlimited());
+    const SolveStatus stB = shuffled.solve(assumptions, Budget::unlimited());
+    ASSERT_EQ(stA, stB) << "round " << round;
+    ASSERT_NE(stA, SolveStatus::kUnknown);
+    EXPECT_EQ(stA == SolveStatus::kSat, expected) << "round " << round;
+    EXPECT_EQ(sorted.stats().decisions, shuffled.stats().decisions);
+    EXPECT_EQ(sorted.stats().propagations, shuffled.stats().propagations);
+    EXPECT_EQ(sorted.stats().conflicts, shuffled.stats().conflicts);
+    if (stA != SolveStatus::kSat) continue;
+    std::uint32_t mask = 0;
+    for (Var v = 0; v < sorted.varCount(); ++v) {
+      ASSERT_EQ(sorted.modelValue(v), shuffled.modelValue(v))
+          << "round " << round << " var " << v;
+      if (v < nVars && sorted.modelValue(v)) mask |= (1u << v);
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(!enforced[i] || rowHolds(rows[i], mask))
+          << "round " << round << " row " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoweringFastPath,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(LowerBound, FirstIncumbentAboveBoundIsPolishedToOptimum) {
+  // The all-true hint makes the first SAT answer place everything
+  // (objective 7) against a declared bound of 1, so the polisher — built
+  // only once an incumbent misses the bound — must run.  Its removal pass
+  // strips b and c, reaching the optimum {a} in the very first step.
+  Model m;
+  ModelVar a = m.addBinary();
+  ModelVar b = m.addBinary();
+  ModelVar c = m.addBinary();
+  LinearExpr ab;
+  ab.add(1, a).add(1, b);
+  m.addConstraint(ab, Cmp::kGe, 1);
+  LinearExpr ac;
+  ac.add(1, a).add(1, c);
+  m.addConstraint(ac, Cmp::kGe, 1);
+  LinearExpr obj;
+  obj.add(1, a).add(3, b).add(3, c);
+  m.setObjective(obj);
+  m.setObjectiveLowerBound(1);
+  OptResult r = Optimizer::solveWithHint(m, {{a, true}, {b, true}, {c, true}});
+  ASSERT_EQ(r.status, OptStatus::kOptimal);
+  EXPECT_EQ(r.objective, 1);
+  EXPECT_EQ(r.improvementSteps, 1);
+  EXPECT_EQ(r.assignment, (std::vector<bool>{true, false, false}));
+}
 
 }  // namespace
 }  // namespace ruleplace::solver
