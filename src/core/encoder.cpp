@@ -49,11 +49,9 @@ struct EncodeScratch {
   // switch id -> dense index within the policy's reachable set, or -1.
   std::vector<std::int32_t> denseOf;
   std::vector<topo::SwitchId> denseTouched;
-  // per-rule-position marks (path shields / required drops / shields).
+  // per-rule-position marks (path shields).
   std::vector<std::uint8_t> shieldMark;
   std::vector<std::int32_t> shieldTouched;
-  std::vector<std::uint8_t> requiredMark;
-  std::vector<std::uint8_t> requiredShieldMark;
   // (rule position, dense switch) -> local var id, or -1.
   std::vector<std::int32_t> slab;
 
@@ -68,8 +66,6 @@ struct EncodeScratch {
     }
     shieldTouched.clear();
     if (shieldMark.size() < ruleCount) shieldMark.resize(ruleCount, 0);
-    requiredMark.assign(ruleCount, 0);
-    requiredShieldMark.assign(ruleCount, 0);
   }
 };
 
@@ -138,6 +134,48 @@ void canonicalizeRange(std::vector<solver::Term>& terms, std::size_t begin) {
 }
 
 }  // namespace
+
+std::vector<int> requiredRuleIds(const acl::Policy& policy,
+                                 const topo::IngressPaths& routing,
+                                 const depgraph::DependencyGraph& dg,
+                                 bool usePathSlicing) {
+  // Drops with a path duty.  An unsliced path owes every drop, and a slice
+  // is a subset of them, so only an all-sliced policy needs the union.
+  bool owesEveryDrop = false;
+  for (const auto& path : routing.paths) {
+    owesEveryDrop |= !usePathSlicing || !path.traffic.has_value();
+  }
+  std::vector<int> ids;
+  if (owesEveryDrop) {
+    ids = dg.dropRules();
+  } else {
+    for (const auto& path : routing.paths) {
+      const std::vector<int> sliced = dg.slicedDrops(*path.traffic);
+      ids.insert(ids.end(), sliced.begin(), sliced.end());
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  // Dummies (merge-cycle breaking) are redundant: no path duty.
+  std::vector<int> dummies;
+  for (const auto& r : policy.rules()) {
+    if (r.dummy) dummies.push_back(r.id);
+  }
+  if (!dummies.empty()) {
+    std::sort(dummies.begin(), dummies.end());
+    std::erase_if(ids, [&](int id) {
+      return std::binary_search(dummies.begin(), dummies.end(), id);
+    });
+  }
+  std::vector<int> shields;
+  for (int dropId : ids) {
+    for (int permitId : dg.shieldsOf(dropId)) shields.push_back(permitId);
+  }
+  std::sort(shields.begin(), shields.end());
+  shields.erase(std::unique(shields.begin(), shields.end()), shields.end());
+  ids.insert(ids.end(), shields.begin(), shields.end());
+  return ids;
+}
 
 // One policy's encode output, in *local* variable numbering (0-based within
 // the policy).  Spliced into the Model by prefix-summed global offsets.
@@ -283,7 +321,6 @@ void Encoder::buildPolicy(int policyId, PolicyBuild& out) const {
     }
   }
 
-  std::vector<int> requiredDropIds;
   // Cover-row staging: ensureDropVarLocal may emit dep rows (terms + rows)
   // while the cover row is being assembled, and CSR rows must own
   // contiguous term spans — so resolve the vars first, then append.
@@ -304,10 +341,6 @@ void Encoder::buildPolicy(int policyId, PolicyBuild& out) const {
       const std::int32_t dropPos = rulePos.of(dropId);
       if (rules[static_cast<std::size_t>(dropPos)].dummy) {
         continue;  // dummies are redundant: no path duty
-      }
-      if (!s.requiredMark[static_cast<std::size_t>(dropPos)]) {
-        s.requiredMark[static_cast<std::size_t>(dropPos)] = 1;
-        requiredDropIds.push_back(dropId);
       }
       ++pathDrops;
       for (int permitId : dg->shieldsOf(dropId)) {
@@ -330,7 +363,7 @@ void Encoder::buildPolicy(int policyId, PolicyBuild& out) const {
            solver::Cmp::kGe, 1, solver::NameRef::path(policyId, dropId)});
       ++out.pathDependencyConstraints;
     }
-    // Per-path shield marks reset here; required-drop marks span paths.
+    // Per-path shield marks reset here.
     for (std::int32_t p : s.shieldTouched) {
       s.shieldMark[static_cast<std::size_t>(p)] = 0;
     }
@@ -354,25 +387,9 @@ void Encoder::buildPolicy(int policyId, PolicyBuild& out) const {
                                          static_cast<int>(pathIdx))});
     }
   }
-  // Record the rules this policy must install somewhere (lower bound
-  // basis): required drops and the permits shielding them, each in
-  // ascending rule-id order (matching the old std::set iteration).
-  std::sort(requiredDropIds.begin(), requiredDropIds.end());
-  std::vector<int> requiredShieldIds;
-  for (int dropId : requiredDropIds) {
-    out.requiredRules.push_back(dropId);
-    for (int permitId : dg->shieldsOf(dropId)) {
-      const std::int32_t pp = rulePos.of(permitId);
-      if (!s.requiredShieldMark[static_cast<std::size_t>(pp)]) {
-        s.requiredShieldMark[static_cast<std::size_t>(pp)] = 1;
-        requiredShieldIds.push_back(permitId);
-      }
-    }
-  }
-  std::sort(requiredShieldIds.begin(), requiredShieldIds.end());
-  for (int permitId : requiredShieldIds) {
-    out.requiredRules.push_back(permitId);
-  }
+  // The rules this policy must install somewhere (lower bound basis).
+  out.requiredRules = requiredRuleIds(policy, routing, *dg,
+                                      options_.enablePathSlicing);
 
   // Dummy rules (inserted by merge-cycle breaking) carry no path duty but
   // must be placeable anywhere in S_i so their merge group can fire.

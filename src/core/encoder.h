@@ -62,6 +62,18 @@ struct EncodingStats {
   std::int64_t monitorForbiddenVars = 0;
 };
 
+/// The rules a policy must install at least once: every non-dummy DROP
+/// with a duty on some path (with `usePathSlicing`, a path carrying a
+/// traffic descriptor owes only the drops overlapping it), then the
+/// PERMITs shielding them — drops ascending by id, then shields ascending.
+/// The one definition behind EncodingStats::requiredRules and the
+/// objective lower bound; core::place's certified fast path sums it
+/// without building a model (docs/solver.md, "Certified fast path").
+std::vector<int> requiredRuleIds(const acl::Policy& policy,
+                                 const topo::IngressPaths& routing,
+                                 const depgraph::DependencyGraph& dg,
+                                 bool usePathSlicing);
+
 class Encoder {
  public:
   /// `mergeInfo` must outlive the encoder and correspond to `problem`'s

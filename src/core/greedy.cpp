@@ -81,17 +81,16 @@ class PlacedBitmap {
 
 }  // namespace
 
-GreedyOutcome greedyPlace(const PlacementProblem& problem,
-                          bool usePathSlicing,
-                          const util::Deadline& deadline) {
+GreedyWalk greedyWalk(const PlacementProblem& problem, bool usePathSlicing,
+                      const util::Deadline& deadline) {
   problem.validate();
-  GreedyOutcome outcome;
+  GreedyWalk outcome;
   std::vector<int> remaining(
       static_cast<std::size_t>(problem.graph->switchCount()));
   for (topo::SwitchId sw = 0; sw < problem.graph->switchCount(); ++sw) {
     remaining[static_cast<std::size_t>(sw)] = problem.capacityOf(sw);
   }
-  std::vector<PlacedRule> placedList;
+  std::vector<PlacedRule>& placedList = outcome.placed;
 
   for (int i = 0; i < problem.policyCount(); ++i) {
     if (deadline.expired()) {
@@ -158,8 +157,21 @@ GreedyOutcome greedyPlace(const PlacementProblem& problem,
     }
   }
   outcome.feasible = true;
-  outcome.placement = buildPlacement(problem, placedList);
-  outcome.totalRules = outcome.placement.totalInstalledRules();
+  return outcome;
+}
+
+GreedyOutcome greedyPlace(const PlacementProblem& problem,
+                          bool usePathSlicing,
+                          const util::Deadline& deadline) {
+  GreedyWalk walk = greedyWalk(problem, usePathSlicing, deadline);
+  GreedyOutcome outcome;
+  outcome.feasible = walk.feasible;
+  outcome.failureReason = std::move(walk.failureReason);
+  outcome.deadlineExpired = walk.deadlineExpired;
+  if (walk.feasible) {
+    outcome.placement = buildPlacement(problem, walk.placed);
+    outcome.totalRules = static_cast<std::int64_t>(walk.placed.size());
+  }
   return outcome;
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/placement.h"
 #include "core/problem.h"
@@ -26,12 +27,31 @@ struct GreedyOutcome {
   bool deadlineExpired = false;  ///< gave up early; failureReason says so
 };
 
-/// Ingress-first greedy heuristic.  Honors path slicing when
-/// `usePathSlicing` and a path carries a traffic descriptor.  Polls
-/// `deadline` per policy and reports infeasible with deadlineExpired set
-/// on expiry.  Note that core::place's degradation ladder deliberately
-/// calls this *without* a deadline: greedy is the polynomial floor of the
-/// ladder and must be allowed to finish (docs/robustness.md).
+/// The ingress-first walk on its own: the entries greedyPlace installs,
+/// before buildPlacement orders them into tables.
+struct GreedyWalk {
+  bool feasible = false;
+  /// Distinct (policy, rule, switch) entries in placement order; valid
+  /// when feasible.  Its size is the walk's installed-rule count.
+  std::vector<PlacedRule> placed;
+  std::string failureReason;
+  bool deadlineExpired = false;  ///< gave up early; failureReason says so
+};
+
+/// Walk every policy's paths and put each DROP rule (with its shielding
+/// PERMITs) at the first switch along the path with room.  Honors path
+/// slicing when `usePathSlicing` and a path carries a traffic descriptor.
+/// Polls `deadline` per policy and reports infeasible with deadlineExpired
+/// set on expiry.  core::place's certified fast path runs this alone and
+/// pays for buildPlacement only once the walk is certified.
+GreedyWalk greedyWalk(const PlacementProblem& problem,
+                      bool usePathSlicing = false,
+                      const util::Deadline& deadline = {});
+
+/// Ingress-first greedy heuristic: greedyWalk, then buildPlacement.  Note
+/// that core::place's degradation ladder deliberately calls this *without*
+/// a deadline: greedy is the polynomial floor of the ladder and must be
+/// allowed to finish (docs/robustness.md).
 GreedyOutcome greedyPlace(const PlacementProblem& problem,
                           bool usePathSlicing = false,
                           const util::Deadline& deadline = {});

@@ -12,6 +12,7 @@
 
 #include "acl/redundancy.h"
 #include "core/greedy.h"
+#include "depgraph/cache.h"
 #include "depgraph/merging.h"
 #include "obs/obs.h"
 #include "util/thread_pool.h"
@@ -34,6 +35,14 @@ const char* toString(PlaceRung rung) noexcept {
     case PlaceRung::kOptimal: return "optimal";
     case PlaceRung::kSatOnly: return "sat-only";
     case PlaceRung::kGreedy: return "greedy";
+  }
+  return "?";
+}
+
+const char* toString(PlacePath path) noexcept {
+  switch (path) {
+    case PlacePath::kSolver: return "solver";
+    case PlacePath::kFastPath: return "fast-path";
   }
   return "?";
 }
@@ -258,6 +267,129 @@ RaceOutcome racePortfolio(const PlacementProblem& problem,
   return out;
 }
 
+// ---- certified fast path ----------------------------------------------------
+//
+// Under the total-rules objective with merging and monitors off, every
+// feasible placement installs each policy's required rules
+// (requiredRuleIds) at least once, so their count is a lower bound that
+// needs no model — the same number the encoder hands the optimizer.  The
+// ingress-first greedy walk always yields a feasible placement when it
+// completes; when its entry count meets the bound it is optimal, and the
+// encode, solve and extract stages have nothing left to prove.  The
+// remaining conditions keep the class to the plain hinted solve, whose
+// answer this reproduces when the walk kept every entry at its ingress
+// (docs/solver.md, "Certified fast path").
+
+bool fastPathApplies(const PlaceOptions& options) {
+  return options.encoder.objective == ObjectiveKind::kTotalRules &&
+         !options.encoder.enableMerging && options.encoder.monitors.empty() &&
+         !options.satisfiabilityOnly && options.useIngressHint &&
+         !options.portfolio;
+}
+
+// True when every entry of the walk sits at its policy's ingress switch:
+// then the walk installed exactly the encoder's ingress hint, a feasible
+// assignment that the hinted solve returns unchanged.
+bool allAtIngress(const PlacementProblem& problem,
+                  const std::vector<PlacedRule>& placed) {
+  std::vector<topo::SwitchId> ingressOf;
+  ingressOf.reserve(problem.routing.size());
+  for (const auto& ip : problem.routing) {
+    ingressOf.push_back(problem.graph->entryPort(ip.ingress).attachedSwitch);
+  }
+  return std::ranges::all_of(placed, [&](const PlacedRule& e) {
+    return e.switchId == ingressOf[static_cast<std::size_t>(e.policyId)];
+  });
+}
+
+// Σ_i |requiredRuleIds(i)|: under the fast path's class, exactly the
+// encoder's EncodingStats::requiredRules and objectiveLowerBound.
+std::int64_t requiredRuleBound(const PlacementProblem& problem,
+                               const EncoderOptions& options) {
+  std::int64_t bound = 0;
+  for (int i = 0; i < problem.policyCount(); ++i) {
+    const acl::Policy& policy = problem.policies[static_cast<std::size_t>(i)];
+    bound += static_cast<std::int64_t>(
+        requiredRuleIds(policy, problem.routing[static_cast<std::size_t>(i)],
+                        *depgraph::acquireGraph(policy, options.depgraph),
+                        options.enablePathSlicing)
+            .size());
+  }
+  return bound;
+}
+
+// Fills `outcome` and returns true when the walk is certified: it installs
+// exactly the bound (so it is optimal) and every entry at its ingress (so
+// it is the hinted solve's answer, byte for byte).  Anything else — a walk
+// that fails, throws, installs more than the bound, spills past an
+// ingress, or finishes after the deadline — leaves `outcome` untouched for
+// the exact pipeline, which then meets (and records) the same condition.
+bool tryFastPath(const PlacementProblem& problem, const PlaceOptions& options,
+                 PlaceOutcome& outcome) {
+  const util::Deadline& deadline = options.budget.deadline;
+  if (deadline.expired()) return false;
+  const auto t0 = std::chrono::steady_clock::now();
+  obs::Span span("place.fast_path");
+  bool certified = false;
+  try {
+    const GreedyWalk walk =
+        greedyWalk(problem, options.encoder.enablePathSlicing, deadline);
+    const auto entries = static_cast<std::int64_t>(walk.placed.size());
+    span.arg("entries", entries);
+    // The ingress test is one scan of the entries; the bound is computed
+    // only for a walk that passes it, so a walk that spills costs no more.
+    if (walk.feasible && allAtIngress(problem, walk.placed)) {
+      const std::int64_t bound = requiredRuleBound(problem, options.encoder);
+      span.arg("bound", bound);
+      if (entries == bound) {
+        Placement placement = buildPlacement(problem, walk.placed);
+        // Delivered within the deadline or not at all: a late certificate
+        // falls through to the exact pipeline's start check, which records
+        // the expiry for the ladder like any other late component.
+        certified = !deadline.expired();
+        if (certified) {
+          outcome.placement = std::move(placement);
+          outcome.status = solver::OptStatus::kOptimal;
+          outcome.objective = entries;
+          outcome.encodingStats.requiredRules = bound;
+          outcome.encodingStats.objectiveLowerBound = bound;
+          outcome.fastPathComponents = 1;
+          outcome.solveSeconds = secondsSince(t0);
+        }
+      }
+    }
+  } catch (const std::logic_error&) {
+    throw;  // caller bug — same policy as the exact pipeline
+  } catch (const std::exception&) {
+    // Not certified: the exact pipeline meets and records the failure.
+  }
+  span.arg("certified", certified ? 1 : 0);
+  if (obs::enabled()) {
+    obs::Registry::global()
+        .counter(certified ? "place.fast_path.certified"
+                           : "place.fast_path.fell_through")
+        .add(1);
+  }
+  return certified;
+}
+
+// Shared tail of placeComponent: rung bookkeeping and obs counters.
+PlaceOutcome finishComponent(PlaceOutcome outcome, PlacementProblem problem,
+                             PlaceRung firstRung) {
+  outcome.degraded = outcome.rung != firstRung;
+  if (obs::enabled()) {
+    if (outcome.hasSolution()) countRung(outcome.rung);
+    if (outcome.degraded) {
+      obs::Registry::global().counter("place.degraded_components").add(1);
+    }
+    if (!outcome.hasSolution()) {
+      obs::Registry::global().counter("place.component_failures").add(1);
+    }
+  }
+  outcome.solvedProblem = std::move(problem);
+  return outcome;
+}
+
 // The monolithic Fig. 4 pipeline on one (sub)problem, wrapped in the
 // resilience layer.  Redundancy removal has already run in place();
 // everything else happens here, so a single-component instance takes
@@ -277,6 +409,9 @@ PlaceOutcome placeComponent(PlacementProblem problem,
                                   : PlaceRung::kOptimal;
   PlaceOutcome outcome;
   outcome.rung = firstRung;
+  if (fastPathApplies(options) && tryFastPath(problem, options, outcome)) {
+    return finishComponent(std::move(outcome), std::move(problem), firstRung);
+  }
   const auto compStart = std::chrono::steady_clock::now();
   auto t0 = compStart;
 
@@ -460,18 +595,7 @@ PlaceOutcome placeComponent(PlacementProblem problem,
     }
   }
 
-  outcome.degraded = outcome.rung != firstRung;
-  if (obs::enabled()) {
-    if (outcome.hasSolution()) countRung(outcome.rung);
-    if (outcome.degraded) {
-      obs::Registry::global().counter("place.degraded_components").add(1);
-    }
-    if (!outcome.hasSolution()) {
-      obs::Registry::global().counter("place.component_failures").add(1);
-    }
-  }
-  outcome.solvedProblem = std::move(problem);
-  return outcome;
+  return finishComponent(std::move(outcome), std::move(problem), firstRung);
 }
 
 ComponentSolveStats componentStatsOf(const PlaceOutcome& out) {
@@ -489,6 +613,8 @@ ComponentSolveStats componentStatsOf(const PlaceOutcome& out) {
   cs.rung = out.rung;
   cs.failure = out.failure;
   cs.portfolioWinner = out.portfolioWinner;
+  cs.path = out.fastPathComponents > 0 ? PlacePath::kFastPath
+                                       : PlacePath::kSolver;
   return cs;
 }
 
@@ -685,15 +811,10 @@ PlaceOutcome place(PlacementProblem problem, const PlaceOptions& options) {
   subOptions.budget = opts.budget.sliced(k);
   subOptions.threads = 1;
 
-  std::vector<PlacementProblem> subProblems(static_cast<std::size_t>(k));
-  for (int c = 0; c < k; ++c) {
-    PlacementProblem& sub = subProblems[static_cast<std::size_t>(c)];
-    sub.graph = problem.graph;
-    sub.capacityOverride = problem.capacityOverride;
-    for (int g : components[static_cast<std::size_t>(c)]) {
-      sub.routing.push_back(problem.routing[static_cast<std::size_t>(g)]);
-      sub.policies.push_back(problem.policies[static_cast<std::size_t>(g)]);
-    }
+  std::vector<PlacementProblem> subProblems;
+  subProblems.reserve(static_cast<std::size_t>(k));
+  for (const std::vector<int>& comp : components) {
+    subProblems.push_back(problem.subset(comp));
   }
   const double partitionSeconds = secondsSince(wallStart);
 
@@ -753,6 +874,7 @@ PlaceOutcome place(PlacementProblem problem, const PlaceOptions& options) {
     outcome.modelConstraints += sub.modelConstraints;
     outcome.modelNonzeros += sub.modelNonzeros;
     outcome.modelBytes += sub.modelBytes;
+    outcome.fastPathComponents += sub.fastPathComponents;
     outcome.componentStats.push_back(componentStatsOf(sub));
     // Remap the component-local policy ids to global ones.
     outcome.componentStats.back().policyIds.assign(

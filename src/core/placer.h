@@ -45,6 +45,14 @@ enum class PlaceRung : std::uint8_t {
 };
 const char* toString(PlaceRung rung) noexcept;
 
+/// How a component's placement was obtained (docs/solver.md, "Certified
+/// fast path").
+enum class PlacePath : std::uint8_t {
+  kSolver,    ///< encode -> solve -> extract (and the ladder, if it ran)
+  kFastPath,  ///< ingress-first walk certified by the model-free bound
+};
+const char* toString(PlacePath path) noexcept;
+
 /// Why a component (or the whole run) has no exact result: the solver's
 /// verdict, the stage that failed, and — for exceptions — the message.
 struct FailureInfo {
@@ -143,6 +151,9 @@ struct ComponentSolveStats {
   /// Portfolio race: priority index of the racer whose solution was kept
   /// (-1 when no race ran or no racer solved).
   int portfolioWinner = -1;
+  /// kFastPath when the certified fast path produced the placement; then
+  /// no model was built and encodeSeconds, modelVars and solverStats read 0.
+  PlacePath path = PlacePath::kSolver;
 };
 
 struct PlaceOutcome {
@@ -196,6 +207,11 @@ struct PlaceOutcome {
   /// index for a single-component run; multi-component runs report the
   /// per-component winners in componentStats instead and leave -1 here.
   int portfolioWinner = -1;
+  /// Components placed by the certified fast path (ComponentSolveStats::
+  /// path).  Those contribute the ingress-first placement, its objective
+  /// and EncodingStats::requiredRules / objectiveLowerBound, but no model:
+  /// their model*, solverStats and other encodingStats fields stay 0.
+  int fastPathComponents = 0;
 
   bool hasSolution() const noexcept {
     return status == solver::OptStatus::kOptimal ||

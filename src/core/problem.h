@@ -90,6 +90,19 @@ struct PlacementProblem {
     return n;
   }
 
+  /// The policies `policyIds` (in that order) with their routing, on the
+  /// same graph and capacities: one coupling component's sub-problem.
+  PlacementProblem subset(const std::vector<int>& policyIds) const {
+    PlacementProblem sub;
+    sub.graph = graph;
+    sub.capacityOverride = capacityOverride;
+    for (int i : policyIds) {
+      sub.routing.push_back(routing.at(static_cast<std::size_t>(i)));
+      sub.policies.push_back(policies.at(static_cast<std::size_t>(i)));
+    }
+    return sub;
+  }
+
   /// Throws std::invalid_argument when the instance is malformed
   /// (mismatched vector sizes, unknown switches/ports, paths not starting
   /// at their ingress switch).

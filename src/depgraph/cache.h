@@ -52,7 +52,10 @@ std::vector<std::uint64_t> policyContentKey(const acl::Policy& policy);
 
 class DepGraphCache {
  public:
-  static constexpr std::size_t kDefaultCapacity = 256;
+  /// The largest shipped working set (the k=64 full-scale point's 1,024
+  /// policies), so a sequential pass over any shipped instance never
+  /// evicts its own graphs; docs/depgraph.md gives the footprint.
+  static constexpr std::size_t kDefaultCapacity = 1024;
 
   explicit DepGraphCache(std::size_t capacity = kDefaultCapacity);
 

@@ -1,14 +1,18 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "acl/redundancy.h"
+#include "core/encoder.h"
 #include "core/incremental.h"
+#include "core/placement.h"
 #include "core/verify.h"
 #include "depgraph/depgraph.h"
 #include "depgraph/merging.h"
 #include "solver/bruteforce.h"
+#include "solver/optimize.h"
 
 namespace ruleplace::fuzz {
 
@@ -211,6 +215,7 @@ const char* toString(ViolationKind k) {
     case ViolationKind::kIncrementalSolver: return "incremental-solver";
     case ViolationKind::kDepgraph: return "depgraph";
     case ViolationKind::kDegraded: return "degraded";
+    case ViolationKind::kFastPath: return "fast-path";
     case ViolationKind::kCrash: return "crash";
   }
   return "?";
@@ -226,6 +231,9 @@ void OracleCounters::add(const OracleCounters& o) {
   incrementalSolverChecks += o.incrementalSolverChecks;
   depgraphChecks += o.depgraphChecks;
   degradedChecks += o.degradedChecks;
+  fastPathChecks += o.fastPathChecks;
+  fastPathCertified += o.fastPathCertified;
+  greedyRungRuns += o.greedyRungRuns;
 }
 
 std::string OracleReport::summary() const {
@@ -505,6 +513,76 @@ void checkStatusAgreement(const FuzzCase& fc, const ModeConfig& mode,
         {ViolationKind::kStatus,
          std::string("ILP says ") + solver::toString(ref.status) +
              " but SAT mode says " + solver::toString(satOut.status)});
+  }
+}
+
+/// Fast-path cross-check (check 5 in the header).  Composes the plain
+/// hinted solver path — what core::place runs when the fast path does not
+/// apply — per coupling component, over the component's slice of the
+/// solved problem.  It runs under the oracle's conflict budget rather than
+/// the mode's, so the ladder-floor mode's certified components are checked
+/// too.
+void checkFastPath(const ModeConfig& mode, const OracleOptions& options,
+                   const core::PlaceOutcome& ref, OracleReport& report) {
+  if (mode.satOnly || mode.merge || mode.portfolio) return;
+  const core::PlacementProblem& solved = ref.solvedProblem;
+  core::EncoderOptions enc;
+  enc.enablePathSlicing = mode.slice;
+  enc.objective = mode.objective;
+  std::vector<int> identity(static_cast<std::size_t>(solved.policyCount()));
+  std::iota(identity.begin(), identity.end(), 0);
+  for (std::size_t c = 0; c < ref.componentStats.size(); ++c) {
+    const core::ComponentSolveStats& cs = ref.componentStats[c];
+    const bool certified = cs.path == core::PlacePath::kFastPath;
+    if (cs.status != solver::OptStatus::kOptimal) continue;
+    ++report.counters.fastPathChecks;
+    if (certified) ++report.counters.fastPathCertified;
+    const std::string where = "component " + std::to_string(c) + " (" +
+                              core::toString(cs.path) + ")";
+    try {
+      const core::PlacementProblem sub = solved.subset(cs.policyIds);
+      const core::Encoder encoder(sub, enc);
+      const solver::OptResult r = solver::Optimizer::solveWithHint(
+          encoder.model(), encoder.ingressHint(),
+          solver::Budget::conflicts(options.conflictBudget));
+      if (r.status == solver::OptStatus::kInfeasible) {
+        report.violations.push_back(
+            {ViolationKind::kFastPath,
+             where + " placed, but the hinted solver proves it infeasible"});
+        continue;
+      }
+      if (r.status != solver::OptStatus::kOptimal) continue;  // budget-bound
+      if (r.objective != cs.objective) {
+        report.violations.push_back(
+            {ViolationKind::kFastPath,
+             where + " objective " + std::to_string(cs.objective) +
+                 " != hinted solver optimum " + std::to_string(r.objective)});
+        continue;
+      }
+      if (!certified) continue;
+      core::Placement composed(solved.graph->switchCount());
+      composed.appendMapped(
+          core::extractPlacement(sub, encoder, r.assignment, nullptr),
+          cs.policyIds);
+      // The component's share of the merged placement, renumbered the same
+      // way appendMapped numbered the composed one.
+      core::Placement share = ref.placement;
+      for (int g = 0; g < solved.policyCount(); ++g) {
+        if (!std::ranges::binary_search(cs.policyIds, g)) share.erasePolicy(g);
+      }
+      core::Placement placed(solved.graph->switchCount());
+      placed.appendMapped(share, identity);
+      std::string why;
+      if (!placementsEqual(placed, composed, &why)) {
+        report.violations.push_back(
+            {ViolationKind::kFastPath,
+             where + " placement differs from the hinted solver's: " + why});
+      }
+    } catch (const std::exception& e) {
+      report.violations.push_back(
+          {ViolationKind::kCrash,
+           where + ": hinted solver cross-check threw: " + e.what()});
+    }
   }
 }
 
@@ -789,10 +867,14 @@ OracleReport checkCase(const FuzzCase& fc, const ModeConfig& mode,
       sweepAndCompare(fc, mode, options, report);
   if (!ref.has_value()) return report;
 
+  if (ref->hasAnyPlacement() && ref->rung == core::PlaceRung::kGreedy) {
+    ++report.counters.greedyRungRuns;
+  }
   checkSemantics(*ref, mode, ViolationKind::kSemantics, report);
   checkDegradedInvariants(*ref, mode, report);
   checkBruteForce(fc, mode, options, *ref, report);
   checkStatusAgreement(fc, mode, options, *ref, report);
+  checkFastPath(mode, options, *ref, report);
   return report;
 }
 

@@ -17,6 +17,10 @@
 //      still pass exact verification, and a partial result must never keep
 //      entries belonging to a failed component while every successful
 //      component's subset verifies (see docs/robustness.md).
+//   5. *Fast path* — every component core::place solved to optimality must
+//      match the plain hinted solver path (Encoder + solveWithHint +
+//      extractPlacement) on the objective, and a component the certified
+//      fast path placed must match it byte for byte (docs/solver.md).
 //
 // All solves run under a conflict budget (never wall-clock) so results are
 // reproducible across machines and thread counts.
@@ -79,6 +83,7 @@ enum class ViolationKind : std::uint8_t {
   kIncrementalSolver,  ///< persistent-session solving diverged from scratch
   kDepgraph,     ///< dependency-graph builders disagree
   kDegraded,     ///< ladder/partial outcome broke the degradation contract
+  kFastPath,     ///< certified fast path disagrees with the hinted solver
   kCrash,        ///< pipeline threw
 };
 
@@ -99,6 +104,11 @@ struct OracleCounters {
   std::int64_t incrementalSolverChecks = 0;
   std::int64_t depgraphChecks = 0;
   std::int64_t degradedChecks = 0;
+  std::int64_t fastPathChecks = 0;  ///< components cross-checked (check 5)
+  std::int64_t fastPathCertified = 0;  ///< ...of which the fast path placed
+  /// Mode runs whose reference outcome came from the ladder's greedy rung:
+  /// the degradation coverage the ladder-floor mode still reaches.
+  std::int64_t greedyRungRuns = 0;
 
   void add(const OracleCounters& o);
 };

@@ -146,7 +146,10 @@ std::string FuzzSummary::toString() const {
      << counters.determinismComparisons << " determinism comparisons, "
      << counters.statusCrossChecks << " status cross-checks, "
      << counters.incrementalChecks << " incremental checks, "
-     << counters.degradedChecks << " degraded checks; "
+     << counters.degradedChecks << " degraded checks, "
+     << counters.fastPathChecks << " fast-path checks ("
+     << counters.fastPathCertified << " certified), "
+     << counters.greedyRungRuns << " greedy-rung runs; "
      << failures.size() << " violation(s)";
   return os.str();
 }

@@ -11,6 +11,7 @@
 #include "core/verify.h"
 #include "io/json.h"
 #include "match/ternary.h"
+#include "solver/optimize.h"
 
 namespace ruleplace::core {
 namespace {
@@ -452,6 +453,232 @@ TEST(Placer, PolishedSearchIsBitIdenticalToGolden) {
         << "merge " << g.merge;
     EXPECT_EQ(out.solverStats.conflicts, g.conflicts) << "merge " << g.merge;
   }
+}
+
+TEST(Greedy, PlaceIsTheWalkThenBuildPlacement) {
+  Fig3 net(1, 2, 2, 0, 2);  // the walk spills past the ingress
+  const PlacementProblem p = net.problem(fig3Policy());
+  const GreedyWalk walk = greedyWalk(p);
+  const GreedyOutcome g = greedyPlace(p);
+  ASSERT_TRUE(walk.feasible);
+  ASSERT_TRUE(g.feasible);
+  EXPECT_EQ(g.totalRules, static_cast<std::int64_t>(walk.placed.size()));
+  EXPECT_EQ(g.placement.toString(p), buildPlacement(p, walk.placed).toString(p));
+}
+
+// ---------------------------------------------------------------------------
+// Certified fast path (docs/solver.md): when the ingress-first walk keeps
+// every entry at its ingress and installs exactly the model-free lower
+// bound, place() returns it without building a model — and it must be the
+// placement the plain hinted solve returns, byte for byte.
+
+// The hinted solver path composed from its layers, as core::place runs it
+// when the fast path does not apply: per coupling component, Encoder ->
+// Optimizer::solveWithHint -> extractPlacement, merged in component order.
+struct HintedSolve {
+  solver::OptStatus status = solver::OptStatus::kOptimal;  ///< worst
+  std::int64_t objective = 0;
+  std::int64_t requiredRules = 0;
+  std::int64_t objectiveLowerBound = 0;
+  Placement placement;
+};
+
+HintedSolve hintedSolverPath(const PlacementProblem& problem,
+                             const EncoderOptions& opts = {}) {
+  HintedSolve out;
+  out.placement = Placement(problem.graph->switchCount());
+  for (const std::vector<int>& comp : couplingComponents(problem, opts)) {
+    const PlacementProblem sub = problem.subset(comp);
+    const Encoder enc(sub, opts);
+    const solver::OptResult r =
+        solver::Optimizer::solveWithHint(enc.model(), enc.ingressHint());
+    if (r.status != solver::OptStatus::kOptimal) out.status = r.status;
+    out.objective += r.objective;
+    out.requiredRules += enc.stats().requiredRules;
+    out.objectiveLowerBound += enc.stats().objectiveLowerBound;
+    if (r.hasSolution()) {
+      out.placement.appendMapped(
+          extractPlacement(sub, enc, r.assignment, nullptr), comp);
+    }
+  }
+  return out;
+}
+
+InstanceConfig certifiedConfig(int k) {
+  InstanceConfig cfg;
+  cfg.fatTreeK = k;
+  cfg.capacity = 60;  // every ingress holds its policies' required rules
+  cfg.ingressCount = k == 4 ? 8 : 16;
+  cfg.totalPaths = k == 4 ? 16 : 64;
+  cfg.rulesPerPolicy = k == 4 ? 20 : 24;
+  cfg.seed = k == 4 ? 7 : 5;
+  return cfg;
+}
+
+void expectMatchesHintedSolver(const PlacementProblem& problem,
+                               const PlaceOutcome& out,
+                               const EncoderOptions& opts = {}) {
+  const HintedSolve ref = hintedSolverPath(problem, opts);
+  ASSERT_EQ(ref.status, solver::OptStatus::kOptimal);
+  ASSERT_TRUE(out.hasSolution());
+  EXPECT_EQ(out.objective, ref.objective);
+  // io::PlacementReport's duplication ratio reads these two.
+  EXPECT_EQ(out.encodingStats.requiredRules, ref.requiredRules);
+  EXPECT_EQ(out.encodingStats.objectiveLowerBound, ref.objectiveLowerBound);
+  EXPECT_EQ(io::placementToJson(out.solvedProblem, out.placement),
+            io::placementToJson(problem, ref.placement));
+}
+
+TEST(FastPath, CertifiedPlacementIsTheHintedSolversByteForByte) {
+  for (int k : {4, 8}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const Instance inst(certifiedConfig(k));
+    const PlaceOutcome out = place(inst.problem());
+    ASSERT_EQ(out.status, solver::OptStatus::kOptimal);
+    EXPECT_EQ(out.rung, PlaceRung::kOptimal);
+    EXPECT_FALSE(out.degraded);
+    ASSERT_EQ(out.componentStats.size(), 1u);
+    EXPECT_EQ(out.componentStats[0].path, PlacePath::kFastPath);
+    EXPECT_EQ(out.fastPathComponents, 1);
+    // No model was built.
+    EXPECT_EQ(out.modelVars, 0);
+    EXPECT_EQ(out.solverStats.decisions, 0);
+    EXPECT_EQ(out.objective, out.encodingStats.objectiveLowerBound);
+    // Exact verification of these policies takes tens of seconds; the
+    // sliced test below verifies a certified placement instead.
+    expectMatchesHintedSolver(inst.problem(), out);
+  }
+}
+
+TEST(FastPath, SlicedBoundIsTheEncodersSlicedBound) {
+  InstanceConfig cfg = certifiedConfig(4);
+  cfg.slicedTraffic = true;
+  const Instance inst(cfg);
+  PlaceOptions opts;
+  opts.encoder.enablePathSlicing = true;
+  const PlaceOutcome out = place(inst.problem(), opts);
+  ASSERT_EQ(out.status, solver::OptStatus::kOptimal);
+  EXPECT_EQ(out.fastPathComponents,
+            static_cast<int>(out.componentStats.size()));
+  expectMatchesHintedSolver(inst.problem(), out, opts.encoder);
+  auto v = verifyPlacement(out.solvedProblem, out.placement, true);
+  EXPECT_TRUE(v.ok) << v.summary();
+}
+
+TEST(FastPath, OffIngressWalkFallsThroughToTheSolver) {
+  // A fuzz-found instance: the ingress s0 holds two of the three required
+  // rules, so the walk spills the shielded drop to s2.  It still installs
+  // exactly the bound — optimal — but the hinted solve lands the rules
+  // elsewhere, so only the solver's answer may be returned.
+  topo::Graph graph;
+  const topo::SwitchId s0 = graph.addSwitch(2);
+  const topo::SwitchId s1 = graph.addSwitch(1);
+  const topo::SwitchId s2 = graph.addSwitch(2);
+  const topo::SwitchId s3 = graph.addSwitch(2);
+  graph.addLink(s0, s1);
+  graph.addLink(s1, s2);
+  graph.addLink(s2, s3);
+  const topo::PortId left = graph.addEntryPort(s0);
+  const topo::PortId right = graph.addEntryPort(s3);
+  acl::Policy q;
+  q.addRule(T("*1****"), Action::kDrop);
+  q.addRule(T("0*****"), Action::kPermit);
+  q.addRule(T("*1*0*1"), Action::kDrop);
+  PlacementProblem p;
+  p.graph = &graph;
+  p.routing = {{left, {topo::Path{left, right, {s0, s1, s2, s3},
+                                  std::nullopt}}}};
+  p.policies = {q};
+
+  const GreedyWalk walk = greedyWalk(p);
+  ASSERT_TRUE(walk.feasible);
+  EXPECT_EQ(walk.placed.size(), 3u);  // the bound: 2 drops + 1 shield
+
+  const PlaceOutcome out = place(p);
+  ASSERT_EQ(out.status, solver::OptStatus::kOptimal);
+  EXPECT_EQ(out.componentStats[0].path, PlacePath::kSolver);
+  EXPECT_EQ(out.fastPathComponents, 0);
+  EXPECT_GT(out.modelVars, 0);
+  expectMatchesHintedSolver(p, out);
+}
+
+TEST(FastPath, TightInstanceFallsThrough) {
+  // The golden instance below: capacity 6 is far too tight for the
+  // ingress, so the walk spills and misses the bound.
+  InstanceConfig cfg;
+  cfg.fatTreeK = 4;
+  cfg.capacity = 6;
+  cfg.ingressCount = 8;
+  cfg.totalPaths = 24;
+  cfg.rulesPerPolicy = 10;
+  cfg.seed = 2;
+  const Instance inst(cfg);
+  PlaceOptions opts;
+  opts.budget = solver::Budget::conflicts(2000);
+  const PlaceOutcome out = place(inst.problem(), opts);
+  ASSERT_TRUE(out.hasSolution());
+  EXPECT_EQ(out.fastPathComponents, 0);
+  for (const auto& c : out.componentStats) {
+    EXPECT_EQ(c.path, PlacePath::kSolver);
+  }
+  EXPECT_GT(out.modelVars, 0);
+}
+
+TEST(FastPath, NeverCertifiesOutsideItsClass) {
+  Fig3 net(5, 5, 5, 5, 5);  // everything fits at the ingress
+  const PlacementProblem p = net.problem(fig3Policy());
+  {
+    const PlaceOutcome out = place(p);
+    ASSERT_EQ(out.status, solver::OptStatus::kOptimal);
+    ASSERT_EQ(out.fastPathComponents, 1);  // the class itself is certified
+  }
+  struct Variant {
+    const char* name;
+    void (*apply)(PlaceOptions&);
+  };
+  const Variant variants[] = {
+      {"merging", [](PlaceOptions& o) { o.encoder.enableMerging = true; }},
+      {"monitor",
+       [](PlaceOptions& o) {
+         o.encoder.monitors.push_back({2, T("0000")});
+       }},
+      {"sat-only", [](PlaceOptions& o) { o.satisfiabilityOnly = true; }},
+      {"portfolio", [](PlaceOptions& o) { o.portfolio = true; }},
+      {"no ingress hint", [](PlaceOptions& o) { o.useIngressHint = false; }},
+      {"upstream traffic",
+       [](PlaceOptions& o) {
+         o.encoder.objective = ObjectiveKind::kUpstreamTraffic;
+       }},
+      {"weighted switch",
+       [](PlaceOptions& o) {
+         o.encoder.objective = ObjectiveKind::kWeightedSwitch;
+         o.encoder.switchWeights = {1, 1, 1, 1, 1};
+       }},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    PlaceOptions opts;
+    v.apply(opts);
+    const PlaceOutcome out = place(p, opts);
+    ASSERT_TRUE(out.hasSolution());
+    EXPECT_EQ(out.fastPathComponents, 0);
+    EXPECT_EQ(out.componentStats[0].path, PlacePath::kSolver);
+    EXPECT_GT(out.modelVars, 0);
+  }
+}
+
+TEST(FastPath, ExpiredDeadlineStillDegrades) {
+  Fig3 net(5, 5, 5, 5, 5);
+  PlaceOptions opts;
+  opts.budget.deadline = util::Deadline::in(0.0);
+  opts.resilience.ladder = true;
+  const PlaceOutcome out = place(net.problem(fig3Policy()), opts);
+  ASSERT_TRUE(out.hasSolution());
+  EXPECT_TRUE(out.degraded);
+  EXPECT_EQ(out.rung, PlaceRung::kGreedy);
+  EXPECT_EQ(out.fastPathComponents, 0);
+  EXPECT_EQ(out.componentStats[0].path, PlacePath::kSolver);
+  EXPECT_TRUE(out.componentStats[0].failure.has_value());
 }
 
 }  // namespace

@@ -322,5 +322,45 @@ TEST(ParallelPlacement, ComponentStatsCoverTheWholeInstance) {
   EXPECT_EQ(objective, out.objective);
 }
 
+TEST(ParallelPlacement, CertifiedFastPathIsIdenticalForEveryThreadCount) {
+  // Roomy capacities everywhere but one ingress switch, which can hold
+  // only two entries: the components not touching it take the certified
+  // fast path, the one that does is solved.
+  Scenario s;
+  s.name = "fast-path";
+  s.cfg = baseConfig(13);
+  s.cfg.capacity = 10000;
+  Instance inst(s.cfg);
+  PlacementProblem problem = inst.problem();
+  problem.capacityOverride.assign(
+      static_cast<std::size_t>(problem.graph->switchCount()), 10000);
+  problem.capacityOverride[static_cast<std::size_t>(
+      problem.graph->entryPort(problem.routing[0].ingress).attachedSwitch)] =
+      2;
+
+  PlaceOptions seq;
+  seq.threads = 1;
+  const PlaceOutcome ref = place(problem, seq);
+  ASSERT_EQ(ref.status, solver::OptStatus::kOptimal);
+  ASSERT_GT(ref.componentStats.size(), 2u);
+  EXPECT_GT(ref.fastPathComponents, 0);
+  EXPECT_LT(ref.fastPathComponents,
+            static_cast<int>(ref.componentStats.size()));
+  auto v = verifyPlacement(ref.solvedProblem, ref.placement);
+  EXPECT_TRUE(v.ok) << v.summary();
+  for (int threads : {2, 4}) {
+    PlaceOptions par;
+    par.threads = threads;
+    const PlaceOutcome got = place(problem, par);
+    expectIdentical(s, ref, got, threads);
+    EXPECT_EQ(got.fastPathComponents, ref.fastPathComponents);
+    ASSERT_EQ(got.componentStats.size(), ref.componentStats.size());
+    for (std::size_t c = 0; c < ref.componentStats.size(); ++c) {
+      EXPECT_EQ(got.componentStats[c].path, ref.componentStats[c].path)
+          << "component " << c << " @ threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ruleplace::core
