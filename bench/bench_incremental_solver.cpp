@@ -1,14 +1,17 @@
-// Churn replay: the same install sequence driven through three engines.
+// Churn replay: the same install sequence driven through four strategies.
 //
 // A base deployment is solved once, then 8 churn events (policy batches)
 // land on it.  Each strategy replays the identical sequence:
 //   (a) scratch    — full core::place of the accumulated problem per event
-//                    (every re-solve re-encodes and re-learns everything),
-//   (b) stateless  — core::installPolicies per event (delta encoding, but a
-//                    fresh solver each call),
-//   (c) session    — one core::IncrementalSession (delta encoding AND a
-//                    persistent solver: learned clauses, activities and
-//                    saved phases survive across events),
+//                    (every re-solve re-encodes and re-searches everything),
+//   (b) stateless  — core::installPolicies per event: a one-event session
+//                    built from the previous outcome, so each event pays a
+//                    session's construction (problem and placement copies,
+//                    validation) on top of its restricted core::place,
+//   (c) session    — one core::IncrementalSession for the whole trace: the
+//                    same restricted core::place per event (only the new
+//                    policies, against spare capacity), state kept between
+//                    events, and the repack rung available,
 //   (d) portfolio  — scratch with the per-component configuration race.
 //
 // The session point carries a `speedup_vs_scratch` counter; the committed

@@ -6,45 +6,29 @@
 #include <string>
 #include <utility>
 
-#include "depgraph/cache.h"
 #include "obs/obs.h"
 
 namespace ruleplace::core {
 
 namespace {
 
-// Restricted-subproblem metrics: how big is the incremental instance and
-// how much headroom did the base placement leave it (spare-capacity
-// utilization is the ratio consumed by the incremental solution).
-void flushIncrementalMetrics(const PlacementProblem& sub,
-                             const std::vector<int>& spare,
-                             const PlaceOutcome& outcome,
-                             const depgraph::CacheStats& cacheBefore) {
-  if (!obs::enabled()) return;
-  auto& reg = obs::Registry::global();
-  reg.counter("incremental.sub_policies").add(sub.policyCount());
-  reg.counter("incremental.sub_rules").add(sub.totalPolicyRules());
-  // Depgraph-cache traffic attributable to this re-solve.  Content-keyed
-  // caching makes invalidation automatic: only policies whose rules were
-  // touched miss and rebuild, everything untouched is a hit.
-  const depgraph::CacheStats cacheAfter =
-      depgraph::DepGraphCache::global().stats();
-  reg.counter("incremental.depgraph_cache_hits")
-      .add(static_cast<std::int64_t>(cacheAfter.hits - cacheBefore.hits));
-  reg.counter("incremental.depgraph_cache_misses")
-      .add(static_cast<std::int64_t>(cacheAfter.misses - cacheBefore.misses));
-  const std::int64_t total =
-      std::accumulate(spare.begin(), spare.end(), std::int64_t{0});
-  reg.counter("incremental.spare_capacity_total").add(total);
-  if (outcome.hasSolution()) {
-    std::int64_t used = 0;
-    for (topo::SwitchId sw = 0;
-         sw < outcome.solvedProblem.graph->switchCount(); ++sw) {
-      used += outcome.placement.usedCapacity(sw);
+// Capacity left on every switch by `deployed` once the entries of the
+// policies `freed` (sorted) are erased, counted without copying it.
+std::vector<int> spareWithout(const PlacementProblem& problem,
+                              const Placement& deployed,
+                              const std::vector<int>& freed) {
+  std::vector<int> spare = spareCapacities(problem, deployed);
+  if (freed.empty()) return spare;
+  for (topo::SwitchId sw = 0; sw < deployed.switchCount(); ++sw) {
+    for (const InstalledRule& entry : deployed.table(sw)) {
+      if (std::ranges::all_of(entry.tags, [&](int t) {
+            return std::binary_search(freed.begin(), freed.end(), t);
+          })) {
+        ++spare[static_cast<std::size_t>(sw)];
+      }
     }
-    reg.counter("incremental.spare_capacity_used").add(used);
   }
-  reg.histogram("incremental.sub_rules_dist").record(sub.totalPolicyRules());
+  return spare;
 }
 
 }  // namespace
@@ -69,82 +53,8 @@ PlaceOutcome installPolicies(const PlacementProblem& problem,
                              std::vector<topo::IngressPaths> newRouting,
                              std::vector<acl::Policy> newPolicies,
                              const PlaceOptions& options) {
-  if (newRouting.size() != newPolicies.size()) {
-    throw std::invalid_argument(
-        "installPolicies: one routing entry per policy required");
-  }
-  obs::Span span("incremental.install");
-  // Escalation needs the pristine inputs again after the restricted
-  // attempt consumed them — copy only when opted in.
-  std::vector<topo::IngressPaths> routingCopy;
-  std::vector<acl::Policy> policiesCopy;
-  if (options.resilience.fullResolveOnInfeasible) {
-    routingCopy = newRouting;
-    policiesCopy = newPolicies;
-  }
-  PlacementProblem sub;
-  sub.graph = problem.graph;
-  sub.routing = std::move(newRouting);
-  sub.policies = std::move(newPolicies);
-  const std::vector<int> spare = spareCapacities(problem, base);
-  sub.capacityOverride = spare;
-  span.arg("sub_policies", sub.policyCount());
-  span.arg("sub_rules", sub.totalPolicyRules());
-
-  const depgraph::CacheStats cacheBefore =
-      depgraph::DepGraphCache::global().stats();
-  PlaceOutcome outcome = place(std::move(sub), options);
-  flushIncrementalMetrics(outcome.solvedProblem, spare, outcome, cacheBefore);
-  if (!outcome.hasSolution()) {
-    // The restriction itself (fixed base placement, spare capacity only)
-    // can make a solvable instance infeasible — the paper accepts that as
-    // the price of speed (§IV-E).  With escalation enabled we pay for the
-    // full re-solve instead: everything placed from scratch, full
-    // capacities, combined policy set.
-    if (outcome.status == solver::OptStatus::kInfeasible &&
-        options.resilience.fullResolveOnInfeasible) {
-      if (obs::enabled()) {
-        obs::Registry::global().counter("incremental.full_resolve").add(1);
-      }
-      obs::Span fullSpan("incremental.full_resolve");
-      PlacementProblem full;
-      full.graph = problem.graph;
-      full.routing = problem.routing;
-      full.policies = problem.policies;
-      full.capacityOverride = problem.capacityOverride;
-      for (auto& r : routingCopy) full.routing.push_back(std::move(r));
-      for (auto& q : policiesCopy) full.policies.push_back(std::move(q));
-      PlaceOutcome fullOutcome = place(std::move(full), options);
-      fullOutcome.escalatedFullResolve = true;
-      return fullOutcome;
-    }
-    return outcome;
-  }
-
-  // Combine: base tags stay, new policies get ids after the existing ones.
-  const int offset = problem.policyCount();
-  std::vector<int> tagMap(outcome.solvedProblem.policies.size());
-  for (std::size_t i = 0; i < tagMap.size(); ++i) {
-    tagMap[i] = offset + static_cast<int>(i);
-  }
-  Placement combined = base;
-  combined.appendMapped(outcome.placement, tagMap);
-  outcome.placement = std::move(combined);
-
-  // Rebuild the solved problem as the combined network view.
-  PlacementProblem combinedProblem;
-  combinedProblem.graph = problem.graph;
-  combinedProblem.routing = problem.routing;
-  combinedProblem.policies = problem.policies;
-  combinedProblem.capacityOverride = problem.capacityOverride;
-  for (auto& r : outcome.solvedProblem.routing) {
-    combinedProblem.routing.push_back(std::move(r));
-  }
-  for (auto& q : outcome.solvedProblem.policies) {
-    combinedProblem.policies.push_back(std::move(q));
-  }
-  outcome.solvedProblem = std::move(combinedProblem);
-  return outcome;
+  return IncrementalSession(problem, base, options)
+      .install(std::move(newRouting), std::move(newPolicies));
 }
 
 PlaceOutcome reroutePolicies(const PlacementProblem& problem,
@@ -152,115 +62,18 @@ PlaceOutcome reroutePolicies(const PlacementProblem& problem,
                              const std::vector<int>& policyIds,
                              std::vector<topo::IngressPaths> newRouting,
                              const PlaceOptions& options) {
-  if (policyIds.size() != newRouting.size()) {
-    throw std::invalid_argument(
-        "reroutePolicies: one routing entry per policy required");
-  }
-  // Retract the moved policies' rules; their slots become spare capacity.
-  Placement stripped = base;
-  for (int id : policyIds) stripped.erasePolicy(id);
-
-  obs::Span span("incremental.reroute");
-  std::vector<topo::IngressPaths> routingCopy;
-  if (options.resilience.fullResolveOnInfeasible) routingCopy = newRouting;
-  PlacementProblem sub;
-  sub.graph = problem.graph;
-  sub.routing = std::move(newRouting);
-  for (int id : policyIds) {
-    sub.policies.push_back(problem.policies.at(static_cast<std::size_t>(id)));
-  }
-  const std::vector<int> spare = spareCapacities(problem, stripped);
-  sub.capacityOverride = spare;
-  span.arg("sub_policies", sub.policyCount());
-  span.arg("sub_rules", sub.totalPolicyRules());
-
-  const depgraph::CacheStats cacheBefore =
-      depgraph::DepGraphCache::global().stats();
-  PlaceOutcome outcome = place(std::move(sub), options);
-  flushIncrementalMetrics(outcome.solvedProblem, spare, outcome, cacheBefore);
-  if (!outcome.hasSolution()) {
-    // Same escalation as installPolicies: the restricted subproblem being
-    // UNSAT against spare capacity does not mean the rerouted network is —
-    // redo the whole deployment with full capacities.
-    if (outcome.status == solver::OptStatus::kInfeasible &&
-        options.resilience.fullResolveOnInfeasible) {
-      if (obs::enabled()) {
-        obs::Registry::global().counter("incremental.full_resolve").add(1);
-      }
-      obs::Span fullSpan("incremental.full_resolve");
-      PlacementProblem full;
-      full.graph = problem.graph;
-      full.routing = problem.routing;
-      full.policies = problem.policies;
-      full.capacityOverride = problem.capacityOverride;
-      for (std::size_t i = 0; i < policyIds.size(); ++i) {
-        full.routing[static_cast<std::size_t>(policyIds[i])] =
-            routingCopy[i];
-      }
-      PlaceOutcome fullOutcome = place(std::move(full), options);
-      fullOutcome.escalatedFullResolve = true;
-      return fullOutcome;
-    }
-    return outcome;
-  }
-
-  std::vector<int> tagMap(policyIds.size());
-  for (std::size_t i = 0; i < policyIds.size(); ++i) tagMap[i] = policyIds[i];
-  Placement combined = std::move(stripped);
-  combined.appendMapped(outcome.placement, tagMap);
-  outcome.placement = std::move(combined);
-
-  PlacementProblem combinedProblem;
-  combinedProblem.graph = problem.graph;
-  combinedProblem.routing = problem.routing;
-  combinedProblem.policies = problem.policies;
-  combinedProblem.capacityOverride = problem.capacityOverride;
-  for (std::size_t i = 0; i < policyIds.size(); ++i) {
-    combinedProblem
-        .routing[static_cast<std::size_t>(policyIds[i])] =
-        outcome.solvedProblem.routing[i];
-    combinedProblem
-        .policies[static_cast<std::size_t>(policyIds[i])] =
-        outcome.solvedProblem.policies[i];
-  }
-  outcome.solvedProblem = std::move(combinedProblem);
-  return outcome;
+  return IncrementalSession(problem, base, options)
+      .reroute(policyIds, std::move(newRouting));
 }
 
 // ---- IncrementalSession -----------------------------------------------------
-
-namespace {
-
-solver::SolverStats statsDelta(const solver::SolverStats& now,
-                               const solver::SolverStats& before) {
-  solver::SolverStats d;
-  d.conflicts = now.conflicts - before.conflicts;
-  d.decisions = now.decisions - before.decisions;
-  d.propagations = now.propagations - before.propagations;
-  d.restarts = now.restarts - before.restarts;
-  d.learntLiterals = now.learntLiterals - before.learntLiterals;
-  d.deletedClauses = now.deletedClauses - before.deletedClauses;
-  for (int i = 0; i < solver::SolverStats::kLbdBuckets; ++i) {
-    d.lbdHistogram[static_cast<std::size_t>(i)] =
-        now.lbdHistogram[static_cast<std::size_t>(i)] -
-        before.lbdHistogram[static_cast<std::size_t>(i)];
-  }
-  return d;
-}
-
-bool isCapacityRow(const solver::ConstraintView& c) {
-  return c.name.kind == solver::NameRef::Kind::kCap;
-}
-
-}  // namespace
 
 IncrementalSession::IncrementalSession(PlacementProblem base,
                                        Placement basePlacement,
                                        PlaceOptions options)
     : options_(std::move(options)),
       combined_(std::move(base)),
-      basePlacement_(std::move(basePlacement)),
-      placement_(basePlacement_) {
+      basePlacement_(std::move(basePlacement)) {
   if (options_.budget.deadline.hasWallDeadline()) {
     // Capture the *span*, not the absolute point: every event re-arms a
     // fresh deadline of this length (see eventBudget()).
@@ -270,14 +83,10 @@ IncrementalSession::IncrementalSession(PlacementProblem base,
   if (basePlacement_.switchCount() == 0) {
     // An empty base deployment: start from per-switch empty tables.
     basePlacement_ = Placement(combined_.graph->switchCount());
-    placement_ = basePlacement_;
   }
   spareCapacities(combined_, basePlacement_);  // throws on over-capacity
-  policies_.resize(static_cast<std::size_t>(combined_.policyCount()));
-}
-
-std::vector<int> IncrementalSession::baseSpare() const {
-  return spareCapacities(combined_, basePlacement_);
+  placement_ = basePlacement_;
+  sessionPlaced_.assign(static_cast<std::size_t>(combined_.policyCount()), 0);
 }
 
 solver::Budget IncrementalSession::eventBudget() const {
@@ -291,262 +100,141 @@ solver::Budget IncrementalSession::eventBudget() const {
   return b;
 }
 
-IncrementalSession::EventRun IncrementalSession::runEvent(
-    const PlacementProblem& delta, const std::vector<int>& targetIds) {
-  EventRun run;
-
-  // Delta encoding: merging is forced off — the session's capacity rows
-  // count every installed entry with coefficient 1, and cross-event merge
-  // groups are outside the session's scope (escalations still merge).
-  EncoderOptions encOpts = options_.encoder;
-  encOpts.enableMerging = false;
-  Encoder enc(delta, encOpts, nullptr);
-  run.encStats = enc.stats();
-  run.modelVars = enc.model().varCount();
-  run.modelConstraints =
-      static_cast<std::int64_t>(enc.model().constraintCount());
-  run.lb = enc.model().hasObjectiveLowerBound()
-               ? enc.model().objectiveLowerBound()
-               : 0;
-
-  // Allocate the delta model's variables in the persistent solver.  With
-  // merging off every model variable is a placement variable, created in
-  // placementKeys() order — delta ModelVar i maps to session ModelVar
-  // offset + i.
-  const int offset = opt_.varCount();
-  const auto& keys = enc.placementKeys();
-  if (static_cast<int>(keys.size()) != enc.model().varCount()) {
-    throw std::logic_error(
-        "IncrementalSession: delta model has non-placement variables");
+PlacementProblem IncrementalSession::subproblem(
+    const Event& event, const std::vector<int>& others,
+    std::vector<int> capacity) const {
+  PlacementProblem sub = combined_.subset(others);
+  sub.capacityOverride = std::move(capacity);
+  sub.routing.insert(sub.routing.end(), event.routing.begin(),
+                     event.routing.end());
+  for (std::size_t i = 0; i < event.ids.size(); ++i) {
+    sub.policies.push_back(
+        event.policies.empty()
+            ? combined_.policies[static_cast<std::size_t>(event.ids[i])]
+            : event.policies[i]);
   }
-  opt_.ensureVars(offset + enc.model().varCount());
-  run.varsPerTarget.resize(targetIds.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const solver::ModelVar v = offset + static_cast<solver::ModelVar>(i);
-    varKeys_.push_back(
-        {targetIds[static_cast<std::size_t>(keys[i].policyId)], keys[i].ruleId,
-         keys[i].switchId});
-    run.varsPerTarget[static_cast<std::size_t>(keys[i].policyId)].push_back(v);
-  }
-  varValue_.resize(static_cast<std::size_t>(opt_.varCount()), 0);
-  varObjCoeff_.resize(static_cast<std::size_t>(opt_.varCount()), 0);
-  for (const auto& [coeff, v] : enc.model().objective().terms()) {
-    varObjCoeff_[static_cast<std::size_t>(offset + v)] = coeff;
-  }
+  return sub;
+}
 
-  // Structural constraints (dependency, path duty, monitor fixes, presolve
-  // cuts) become one retractable group per target policy, keyed by the
-  // policy its variables belong to; the encoder's own capacity rows are
-  // dropped — capacity is session-managed (versioned rows below).
-  std::vector<std::vector<solver::Constraint>> perPolicy(targetIds.size());
-  for (const auto& c : enc.model().constraints()) {
-    if (isCapacityRow(c)) continue;
-    solver::Constraint sc;
-    sc.cmp = c.cmp;
-    sc.rhs = c.rhs;
-    sc.name = c.name;
-    sc.expr.addConstant(c.expr.constant());
-    for (const auto& [coeff, v] : c.expr.terms()) {
-      sc.expr.add(coeff, offset + v);
+void IncrementalSession::moveInto(Event& event, PlacementProblem& problem) {
+  // Install ids run consecutively from policyCount(), in event order.
+  const int count = problem.policyCount();
+  for (std::size_t i = 0; i < event.ids.size(); ++i) {
+    const int id = event.ids[i];
+    if (id < count) {
+      problem.routing[static_cast<std::size_t>(id)] =
+          std::move(event.routing[i]);
+    } else {
+      problem.routing.push_back(std::move(event.routing[i]));
+      problem.policies.push_back(std::move(event.policies[i]));
     }
-    // Var-free rows (presolve cuts) land on the event's first policy: if
-    // they fire the whole event fails and every group is rolled back, so
-    // the attribution never outlives its validity.
-    const int owner =
-        c.expr.terms().empty()
-            ? 0
-            : keys[static_cast<std::size_t>(c.expr.terms().front().second)]
-                  .policyId;
-    perPolicy[static_cast<std::size_t>(owner)].push_back(std::move(sc));
   }
-  run.groups.reserve(targetIds.size());
-  for (const auto& group : perPolicy) {
-    run.groups.push_back(opt_.addGroup(group));
-  }
+}
 
-  // Versioned capacity rows: one group covering every *active* session
-  // variable (existing session policies plus this event), bounded by the
-  // capacity the fixed base deployment leaves over.  The previous version
-  // is deactivated now and retired only on commit, so a failed event can
-  // reactivate it.
-  std::vector<std::vector<solver::ModelVar>> bySwitch(
-      static_cast<std::size_t>(combined_.graph->switchCount()));
-  auto addSwitchVars = [&](const std::vector<solver::ModelVar>& vars) {
-    for (solver::ModelVar v : vars) {
-      bySwitch[static_cast<std::size_t>(
-                   varKeys_[static_cast<std::size_t>(v)].switchId)]
-          .push_back(v);
+void IncrementalSession::commit(Event& event, const Placement& placed,
+                                const std::vector<int>& placedIds,
+                                bool repacked) {
+  basePlacement_.erasePolicies(event.movedBase);
+  if (repacked) {
+    placement_ = basePlacement_;
+  } else {
+    placement_.erasePolicies(event.moved);
+  }
+  placement_.appendMapped(placed, placedIds);
+  moveInto(event, combined_);
+  sessionPlaced_.resize(static_cast<std::size_t>(combined_.policyCount()), 0);
+  for (int id : event.ids) sessionPlaced_[static_cast<std::size_t>(id)] = 1;
+  ++events_;
+}
+
+PlaceOutcome IncrementalSession::apply(Event event) {
+  const int count = combined_.policyCount();
+  for (int id : event.ids) {
+    if (id < count) event.moved.push_back(id);
+  }
+  std::sort(event.moved.begin(), event.moved.end());
+  for (int id : event.moved) {
+    if (sessionPlaced_[static_cast<std::size_t>(id)] == 0) {
+      event.movedBase.push_back(id);
     }
+  }
+  auto committed = [&](PlaceOutcome out) {
+    out.placement = placement_;
+    out.solvedProblem = combined_;
+    return out;
   };
-  for (const PolicyState& ps : policies_) {
-    if (ps.sessionManaged) addSwitchVars(ps.vars);
-  }
-  for (const auto& vars : run.varsPerTarget) addSwitchVars(vars);
-  std::vector<solver::Constraint> capRows;
-  for (topo::SwitchId sw = 0; sw < combined_.graph->switchCount(); ++sw) {
-    const auto& vars = bySwitch[static_cast<std::size_t>(sw)];
-    if (vars.empty()) continue;
-    solver::Constraint c;
-    c.cmp = solver::Cmp::kLe;
-    c.rhs = combined_.capacityOf(sw) - basePlacement_.usedCapacity(sw);
-    c.name = solver::NameRef::sessionCap(sw);
-    for (solver::ModelVar v : vars) c.expr.add(1, v);
-    capRows.push_back(std::move(c));
-  }
-  run.prevEpoch = capacityEpoch_;
-  if (capacityEpoch_ >= 0) opt_.setActive(capacityEpoch_, false);
-  run.epoch = opt_.addGroup(capRows);
-  capacityEpoch_ = run.epoch;
 
-  // Pins: hold every previously session-placed policy at its current
-  // placement.  Phases: seed the event's variables from the ingress hint.
-  opt_.clearPins();
-  for (const PolicyState& ps : policies_) {
-    if (!ps.sessionManaged) continue;
-    for (solver::ModelVar v : ps.vars) {
-      opt_.pin(v, varValue_[static_cast<std::size_t>(v)] != 0);
-    }
-  }
-  if (options_.useIngressHint) {
-    for (const auto& [mv, value] : enc.ingressHint()) {
-      opt_.setPhase(offset + mv, value);
-    }
+  // Restricted re-solves place the event's policies as given and count
+  // every new entry once against spare capacity: no merging, no
+  // redundancy removal.  Both rungs share one re-armed event budget.  With
+  // observability set, place() would enable the registry and relabel the
+  // calling thread (a daemon's drain worker) "main"; the session leaves
+  // both to its caller.
+  PlaceOptions restricted = options_;
+  restricted.encoder.enableMerging = false;
+  restricted.removeRedundancy = false;
+  restricted.observability = false;
+  restricted.budget = eventBudget();
+
+  PlaceOutcome out = place(
+      subproblem(event, {}, spareWithout(combined_, placement_, event.moved)),
+      restricted);
+  if (out.hasSolution()) {
+    commit(event, out.placement, event.ids, false);
+    return committed(std::move(out));
   }
 
-  // Objective: the cost of every active session variable.  The assumption-
-  // level lower bound is the sum of the committed events' encoder bounds
-  // (valid while their groups are intact) plus this event's.
-  solver::LinearExpr objective;
-  auto addObjVars = [&](const std::vector<solver::ModelVar>& vars) {
-    for (solver::ModelVar v : vars) {
-      const std::int64_t coeff = varObjCoeff_[static_cast<std::size_t>(v)];
-      if (coeff != 0) objective.add(coeff, v);
+  // Repack: the session-placed policies outside the event may move too;
+  // only the base deployment stays fixed.
+  std::vector<int> others;
+  for (int id = 0; id < count; ++id) {
+    if (sessionPlaced_[static_cast<std::size_t>(id)] != 0 &&
+        !std::binary_search(event.moved.begin(), event.moved.end(), id)) {
+      others.push_back(id);
     }
-  };
-  for (const PolicyState& ps : policies_) {
-    if (ps.sessionManaged) addObjVars(ps.vars);
   }
-  for (const auto& vars : run.varsPerTarget) addObjVars(vars);
-  std::int64_t lbTotal = run.lb;
-  for (const EventLb& e : eventLbs_) {
-    bool intact = true;
-    for (const auto& [id, group] : e.members) {
-      const PolicyState& ps = policies_[static_cast<std::size_t>(id)];
-      if (!ps.sessionManaged || ps.group != group) {
-        intact = false;
-        break;
-      }
-    }
-    if (intact) lbTotal += e.lb;
-  }
-
-  // One budget per event (pinned attempt and repack retry share it); the
-  // deadline is re-armed here, not inherited absolute from construction.
-  const solver::Budget budget = eventBudget();
-  auto solveOnce = [&] {
-    return options_.satisfiabilityOnly
-               ? opt_.solveSat(budget)
-               : opt_.optimize(objective, budget, {}, lbTotal);
-  };
-  run.result = solveOnce();
-  if (run.result.status == solver::OptStatus::kInfeasible &&
-      opt_.pinCount() > 0) {
-    // Repack: the pinned placements were named (directly or not) by the
-    // conflict — drop them and let earlier session events move.  The base
-    // deployment stays fixed; only escalation revisits it.
+  if (out.status == solver::OptStatus::kInfeasible && !others.empty()) {
     if (obs::enabled()) {
       obs::Registry::global().counter("incremental.session.repack").add(1);
     }
     obs::Span repackSpan("incremental.session.repack");
-    opt_.clearPins();
-    run.result = solveOnce();
-    if (run.result.hasSolution()) {
-      run.repacked = true;
+    std::vector<int> spare =
+        spareWithout(combined_, basePlacement_, event.movedBase);
+    out = place(subproblem(event, others, std::move(spare)), restricted);
+    if (out.hasSolution()) {
       ++repacks_;
+      others.insert(others.end(), event.ids.begin(), event.ids.end());
+      commit(event, out.placement, others, true);
+      return committed(std::move(out));
     }
   }
-  return run;
-}
+  if (out.status != solver::OptStatus::kInfeasible ||
+      !options_.resilience.fullResolveOnInfeasible) {
+    return out;
+  }
 
-void IncrementalSession::rollbackRun(const EventRun& run) {
-  for (auto g : run.groups) opt_.retire(g);
-  opt_.retire(run.epoch);
-  if (run.prevEpoch >= 0) opt_.setActive(run.prevEpoch, true);
-  capacityEpoch_ = run.prevEpoch;
-  opt_.clearPins();
-}
-
-void IncrementalSession::rebuildPlacement() {
-  std::vector<PlacedRule> placed;
-  for (const PolicyState& ps : policies_) {
-    if (!ps.sessionManaged) continue;
-    for (solver::ModelVar v : ps.vars) {
-      if (varValue_[static_cast<std::size_t>(v)] == 0) continue;
-      const VarKey& k = varKeys_[static_cast<std::size_t>(v)];
-      placed.push_back({k.policyId, k.ruleId, k.switchId});
+  // Escalation: everything placed from scratch with full capacities and
+  // the configured merging, on a fresh budget.
+  obs::Span fullSpan("incremental.session.escalate");
+  PlacementProblem full = combined_;
+  moveInto(event, full);
+  PlaceOptions escalation = options_;
+  escalation.observability = false;
+  escalation.budget = eventBudget();
+  out = place(std::move(full), escalation);
+  out.escalatedFullResolve = true;
+  if (out.hasSolution()) {
+    ++escalations_;
+    ++events_;
+    if (obs::enabled()) {
+      obs::Registry::global().counter("incremental.session.escalations").add(1);
     }
+    combined_ = out.solvedProblem;
+    basePlacement_ = out.placement;
+    placement_ = out.placement;
+    sessionPlaced_.assign(static_cast<std::size_t>(combined_.policyCount()), 0);
   }
-  placement_ = basePlacement_;
-  if (placed.empty()) return;
-  Placement session = buildPlacement(combined_, placed);
-  std::vector<int> identity(static_cast<std::size_t>(combined_.policyCount()));
-  std::iota(identity.begin(), identity.end(), 0);
-  placement_.appendMapped(session, identity);
-}
-
-PlaceOutcome IncrementalSession::successOutcome(
-    const EventRun& run, const solver::SolverStats& before) {
-  PlaceOutcome out;
-  out.status = run.result.status;
-  out.objective = run.result.objective;
-  out.placement = placement_;
-  out.solvedProblem = combined_;
-  out.solverStats = statsDelta(opt_.stats(), before);
-  out.encodingStats = run.encStats;
-  out.modelVars = run.modelVars;
-  out.modelConstraints = run.modelConstraints;
-  out.threadsUsed = 1;
   return out;
-}
-
-PlaceOutcome IncrementalSession::failureOutcome(
-    const EventRun& run, const solver::SolverStats& before) {
-  PlaceOutcome out;
-  out.status = run.result.status == solver::OptStatus::kInfeasible
-                   ? solver::OptStatus::kInfeasible
-                   : solver::OptStatus::kUnknown;
-  out.solverStats = statsDelta(opt_.stats(), before);
-  out.encodingStats = run.encStats;
-  out.modelVars = run.modelVars;
-  out.modelConstraints = run.modelConstraints;
-  out.failure =
-      FailureInfo{out.status, SolveStage::kSolve, 0.0,
-                  out.status == solver::OptStatus::kInfeasible
-                      ? "session event infeasible against base deployment"
-                      : "session event budget exhausted"};
-  return out;
-}
-
-void IncrementalSession::adoptFull(const PlaceOutcome& out) {
-  ++escalations_;
-  if (obs::enabled()) {
-    obs::Registry::global().counter("incremental.session.escalations").add(1);
-  }
-  for (PolicyState& ps : policies_) {
-    if (ps.sessionManaged) opt_.retire(ps.group);
-    ps = PolicyState{};
-  }
-  if (capacityEpoch_ >= 0) {
-    opt_.retire(capacityEpoch_);
-    capacityEpoch_ = -1;
-  }
-  opt_.clearPins();
-  eventLbs_.clear();
-  combined_ = out.solvedProblem;
-  policies_.assign(static_cast<std::size_t>(combined_.policyCount()),
-                   PolicyState{});
-  basePlacement_ = out.placement;
-  placement_ = out.placement;
 }
 
 PlaceOutcome IncrementalSession::install(
@@ -558,64 +246,12 @@ PlaceOutcome IncrementalSession::install(
   }
   obs::Span span("incremental.session.install");
   span.arg("policies", static_cast<std::int64_t>(newPolicies.size()));
-  const solver::SolverStats before = opt_.stats();
-
-  const int offsetId = combined_.policyCount();
-  std::vector<int> targetIds(newPolicies.size());
-  std::iota(targetIds.begin(), targetIds.end(), offsetId);
-
-  PlacementProblem delta;
-  delta.graph = combined_.graph;
-  delta.routing = newRouting;  // keep the originals for commit/escalation
-  delta.policies = newPolicies;
-  delta.capacityOverride = baseSpare();
-
-  EventRun run = runEvent(delta, targetIds);
-  if (!run.result.hasSolution()) {
-    PlaceOutcome out = failureOutcome(run, before);
-    rollbackRun(run);
-    if (out.status == solver::OptStatus::kInfeasible &&
-        options_.resilience.fullResolveOnInfeasible) {
-      obs::Span fullSpan("incremental.session.escalate");
-      PlacementProblem full = combined_;
-      for (auto& r : newRouting) full.routing.push_back(std::move(r));
-      for (auto& q : newPolicies) full.policies.push_back(std::move(q));
-      PlaceOptions escOptions = options_;
-      escOptions.budget = eventBudget();
-      PlaceOutcome fullOutcome = place(std::move(full), escOptions);
-      fullOutcome.escalatedFullResolve = true;
-      if (fullOutcome.hasSolution()) {
-        adoptFull(fullOutcome);
-        ++events_;
-      }
-      return fullOutcome;
-    }
-    return out;
-  }
-
-  // Commit: the combined problem grows, the event's policies become
-  // session-managed, and the superseded capacity epoch goes inert.
-  for (auto& r : newRouting) combined_.routing.push_back(std::move(r));
-  for (auto& q : newPolicies) combined_.policies.push_back(std::move(q));
-  policies_.resize(static_cast<std::size_t>(combined_.policyCount()));
-  EventLb lb;
-  lb.lb = run.lb;
-  for (std::size_t i = 0; i < targetIds.size(); ++i) {
-    PolicyState& ps = policies_[static_cast<std::size_t>(targetIds[i])];
-    ps.sessionManaged = true;
-    ps.group = run.groups[i];
-    ps.vars = run.varsPerTarget[i];
-    lb.members.push_back({targetIds[i], run.groups[i]});
-  }
-  eventLbs_.push_back(std::move(lb));
-  if (run.prevEpoch >= 0) opt_.retire(run.prevEpoch);
-  const auto& assignment = run.result.assignment;
-  for (std::size_t v = 0; v < assignment.size(); ++v) {
-    varValue_[v] = assignment[v] ? 1 : 0;
-  }
-  rebuildPlacement();
-  ++events_;
-  return successOutcome(run, before);
+  Event event;
+  event.ids.resize(newPolicies.size());
+  std::iota(event.ids.begin(), event.ids.end(), combined_.policyCount());
+  event.routing = std::move(newRouting);
+  event.policies = std::move(newPolicies);
+  return apply(std::move(event));
 }
 
 PlaceOutcome IncrementalSession::reroute(
@@ -625,118 +261,27 @@ PlaceOutcome IncrementalSession::reroute(
     throw std::invalid_argument(
         "IncrementalSession::reroute: one routing entry per policy required");
   }
-  for (std::size_t i = 0; i < policyIds.size(); ++i) {
-    const int id = policyIds[i];
+  for (int id : policyIds) {
     if (id < 0 || id >= combined_.policyCount()) {
       throw std::invalid_argument("IncrementalSession::reroute: unknown id");
     }
-    // A duplicate id would corrupt the session: the detach loop would
-    // capture the already-cleared state as the duplicate's "old" state
-    // (breaking rollback), and on commit the first duplicate's group would
-    // stay active forever.  Reject up front — callers coalesce duplicates
-    // to the newest route instead (last-wins, as the serve shard does).
-    for (std::size_t j = 0; j < i; ++j) {
-      if (policyIds[j] == id) {
-        throw std::invalid_argument(
-            "IncrementalSession::reroute: duplicate policy id " +
-            std::to_string(id) + " in one event");
-      }
-    }
+  }
+  // A duplicate id has no single new route; callers coalesce duplicates to
+  // the newest route instead (last-wins, as the serve shard does).
+  std::vector<int> sorted = policyIds;
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  if (dup != sorted.end()) {
+    throw std::invalid_argument(
+        "IncrementalSession::reroute: duplicate policy id " +
+        std::to_string(*dup) + " in one event");
   }
   obs::Span span("incremental.session.reroute");
   span.arg("policies", static_cast<std::int64_t>(policyIds.size()));
-  const solver::SolverStats before = opt_.stats();
-
-  // Detach the moved policies: base-placed rules are stripped (their slots
-  // become spare), session-placed ones have their groups deactivated (old
-  // constraints drop out of the next solve but stay reactivatable).
-  Placement baseBefore = basePlacement_;
-  std::vector<topo::IngressPaths> oldRouting;
-  std::vector<PolicyState> oldStates;
-  oldRouting.reserve(policyIds.size());
-  oldStates.reserve(policyIds.size());
-  for (std::size_t i = 0; i < policyIds.size(); ++i) {
-    const int id = policyIds[i];
-    oldRouting.push_back(combined_.routing[static_cast<std::size_t>(id)]);
-    oldStates.push_back(policies_[static_cast<std::size_t>(id)]);
-    PolicyState& ps = policies_[static_cast<std::size_t>(id)];
-    if (ps.sessionManaged) {
-      opt_.setActive(ps.group, false);
-      ps = PolicyState{};
-    } else {
-      basePlacement_.erasePolicy(id);
-    }
-    combined_.routing[static_cast<std::size_t>(id)] = newRouting[i];
-  }
-
-  PlacementProblem delta;
-  delta.graph = combined_.graph;
-  delta.routing = std::move(newRouting);
-  for (int id : policyIds) {
-    delta.policies.push_back(
-        combined_.policies[static_cast<std::size_t>(id)]);
-  }
-  delta.capacityOverride = baseSpare();
-
-  EventRun run = runEvent(delta, policyIds);
-  if (!run.result.hasSolution()) {
-    PlaceOutcome out = failureOutcome(run, before);
-    // Roll the detachment back: old routing, old groups, old base rules.
-    rollbackRun(run);
-    basePlacement_ = std::move(baseBefore);
-    for (std::size_t i = 0; i < policyIds.size(); ++i) {
-      const int id = policyIds[i];
-      combined_.routing[static_cast<std::size_t>(id)] = oldRouting[i];
-      policies_[static_cast<std::size_t>(id)] = oldStates[i];
-      if (oldStates[i].sessionManaged) {
-        opt_.setActive(oldStates[i].group, true);
-      }
-    }
-    rebuildPlacement();
-    if (out.status == solver::OptStatus::kInfeasible &&
-        options_.resilience.fullResolveOnInfeasible) {
-      obs::Span fullSpan("incremental.session.escalate");
-      PlacementProblem full = combined_;
-      for (std::size_t i = 0; i < policyIds.size(); ++i) {
-        full.routing[static_cast<std::size_t>(policyIds[i])] =
-            delta.routing[i];
-      }
-      PlaceOptions escOptions = options_;
-      escOptions.budget = eventBudget();
-      PlaceOutcome fullOutcome = place(std::move(full), escOptions);
-      fullOutcome.escalatedFullResolve = true;
-      if (fullOutcome.hasSolution()) {
-        adoptFull(fullOutcome);
-        ++events_;
-      }
-      return fullOutcome;
-    }
-    return out;
-  }
-
-  // Commit: retire the rerouted policies' old groups for good and bind
-  // their new ones.
-  for (const PolicyState& old : oldStates) {
-    if (old.sessionManaged) opt_.retire(old.group);
-  }
-  EventLb lb;
-  lb.lb = run.lb;
-  for (std::size_t i = 0; i < policyIds.size(); ++i) {
-    PolicyState& ps = policies_[static_cast<std::size_t>(policyIds[i])];
-    ps.sessionManaged = true;
-    ps.group = run.groups[i];
-    ps.vars = run.varsPerTarget[i];
-    lb.members.push_back({policyIds[i], run.groups[i]});
-  }
-  eventLbs_.push_back(std::move(lb));
-  if (run.prevEpoch >= 0) opt_.retire(run.prevEpoch);
-  const auto& assignment = run.result.assignment;
-  for (std::size_t v = 0; v < assignment.size(); ++v) {
-    varValue_[v] = assignment[v] ? 1 : 0;
-  }
-  rebuildPlacement();
-  ++events_;
-  return successOutcome(run, before);
+  Event event;
+  event.ids = policyIds;
+  event.routing = std::move(newRouting);
+  return apply(std::move(event));
 }
 
 }  // namespace ruleplace::core

@@ -4,24 +4,28 @@
 // A running network changes: new tenants install policies, routes move.
 // Re-solving the whole ILP can take seconds to minutes; instead we build a
 // *restricted* subproblem over only the affected policies, give it the
-// spare capacity left by the existing deployment, and solve that — usually
-// in milliseconds.  The restriction can make a solvable instance
-// infeasible (the fixed base placement is never revisited), which the
-// paper accepts as the price of speed.
+// spare capacity left by the existing deployment, and solve that with
+// core::place — usually in milliseconds.  The restriction can make a
+// solvable instance infeasible (the deployment around the event is never
+// revisited), which the paper accepts as the price of speed.
 //
-// With ResilienceOptions::fullResolveOnInfeasible set, a restricted
-// re-solve that comes back kInfeasible escalates automatically to a full
-// re-solve of the whole deployment (full capacities, every policy placed
-// from scratch); the returned outcome then has escalatedFullResolve set
-// and its placement replaces — rather than extends — the base.
+// Restricted re-solves run with merging and redundancy removal off: the
+// new entries are counted one per rule against the spare capacity, and the
+// policies are placed as given.  An outcome's `objective` is the re-solved
+// subproblem's, not the whole deployment's.
+//
+// With ResilienceOptions::fullResolveOnInfeasible set, an event whose
+// restricted re-solves come back kInfeasible escalates to a full re-solve
+// of the whole deployment (full capacities, every policy placed from
+// scratch, merging as configured); the returned outcome then has
+// escalatedFullResolve set and its placement replaces — rather than
+// extends — the deployment.
 
-#include <cstdint>
 #include <vector>
 
 #include "core/placement.h"
 #include "core/placer.h"
 #include "core/problem.h"
-#include "solver/incremental.h"
 
 namespace ruleplace::core {
 
@@ -30,10 +34,10 @@ std::vector<int> spareCapacities(const PlacementProblem& problem,
                                  const Placement& base);
 
 /// Install additional policies on the spare capacity of an existing
-/// deployment.  `newRouting[i]` carries the paths for `newPolicies[i]`;
-/// their policy ids in the combined placement start at
-/// `problem.policyCount()`.  On success the returned outcome's placement
-/// is the *combined* deployment (base plus new rules).
+/// deployment: a one-event IncrementalSession.  `newRouting[i]` carries
+/// the paths for `newPolicies[i]`; their policy ids in the combined
+/// placement start at `problem.policyCount()`.  On success the returned
+/// outcome's placement is the *combined* deployment (base plus new rules).
 PlaceOutcome installPolicies(const PlacementProblem& problem,
                              const Placement& base,
                              std::vector<topo::IngressPaths> newRouting,
@@ -42,63 +46,50 @@ PlaceOutcome installPolicies(const PlacementProblem& problem,
 
 /// Re-route existing policies: erase their rules from the deployment,
 /// then re-place them on their new paths using only the freed + spare
-/// capacity.  `newRouting[i]` replaces the routing of `policyIds[i]`.
-/// On success the returned placement is the combined deployment.
+/// capacity (a one-event IncrementalSession).  `newRouting[i]` replaces
+/// the routing of `policyIds[i]`.  On success the returned placement is
+/// the combined deployment.
 PlaceOutcome reroutePolicies(const PlacementProblem& problem,
                              const Placement& base,
                              const std::vector<int>& policyIds,
                              std::vector<topo::IngressPaths> newRouting,
                              const PlaceOptions& options = {});
 
-/// Persistent incremental deployment session (docs/solver.md, "Incremental
-/// sessions").
+/// A deployment under churn (docs/solver.md, "Incremental sessions").
 ///
-/// installPolicies()/reroutePolicies() above are *stateless*: each call
-/// builds a fresh restricted subproblem and a fresh CDCL solver, and all
-/// the clauses that solver learned die with the call.  An
-/// IncrementalSession keeps ONE solver::IncrementalOptimizer alive across
-/// an arbitrary churn sequence instead: every install()/reroute() lowers
-/// only the *delta* encoding (the affected policies, merging off), adds it
-/// as per-policy retractable constraint groups, and re-solves under
-/// assumptions — learned clauses, variable activities and saved phases of
-/// every earlier event carry over, which is what makes a re-solve after
-/// small churn start from everything the previous solves derived.
-///
-/// Switch-capacity coupling across events is handled by session-managed
-/// *versioned* capacity rows: each event deactivates the previous version
-/// and posts `Σ(active session vars at switch) <= capacity − base usage`
-/// behind a fresh group selector, so rules freed by a reroute become
-/// available to every later event.
-///
-/// Per event the session runs a three-step ladder:
-///   1. *pinned* re-solve — every previously session-placed policy is held
-///      at its current placement through the assumption prefix (the
-///      restricted semantics of installPolicies);
-///   2. *repack* — on infeasibility the pins are dropped, letting earlier
-///      session placements move (the base deployment stays fixed);
+/// The session holds the combined problem, its deployment, and which
+/// policies it placed itself since construction (the *session-placed*
+/// ones; everything else is the fixed *base*).  Every install()/reroute()
+/// is one or more core::place() calls over nested policy sets:
+///   1. *pinned* — the event's policies alone, against the capacity the
+///      current deployment leaves (rerouted policies' entries freed first);
+///   2. *repack* — only when (1) is kInfeasible and the session has placed
+///      policies outside the event: those plus the event, against the
+///      capacity the base deployment leaves, so earlier session placements
+///      may move (the base stays fixed);
 ///   3. *escalation* — still infeasible with
 ///      ResilienceOptions::fullResolveOnInfeasible set: a full place() of
-///      the whole combined problem replaces the session state (the
-///      outcome's escalatedFullResolve is set), exactly like the stateless
-///      API.
+///      the whole combined problem replaces the deployment, which then
+///      becomes the new base (the outcome's escalatedFullResolve is set).
+/// Rungs 1 and 2 share one event budget; an escalation gets a fresh one.
 ///
-/// A failed event (infeasible without escalation, or budget exhausted)
-/// rolls the session back: problem(), placement() and the solver's active
-/// groups are exactly as before the call.
-///
-/// Results match the stateless API's semantics: a committed outcome's
+/// Nothing is committed before a rung succeeds, so a failed event
+/// (infeasible without escalation, or budget exhausted) leaves problem()
+/// and placement() exactly as they were; its outcome is the last rung's
+/// place() result, over that rung's subproblem.  A committed outcome's
 /// placement is the *combined* deployment and solvedProblem the combined
-/// problem.  The sequence of placements is deterministic — it depends only
-/// on the event sequence, never on wall-clock or thread count (the session
-/// is single-threaded by design; race parallelism lives in core::place).
+/// problem.  The sequence of placements is deterministic: it depends only
+/// on the event sequence, never on wall-clock or thread count.
 class IncrementalSession {
  public:
   /// `base` is the deployed problem, `basePlacement` its current (verified)
   /// deployment.  Throws std::invalid_argument when the base placement
   /// exceeds a switch capacity.  `options` applies to every event: budget
-  /// (re-sliced per event), encoder options (merging is forced off for
-  /// delta encodings but honored by escalations), satisfiabilityOnly,
-  /// useIngressHint, and resilience.fullResolveOnInfeasible.
+  /// (re-armed per event), encoder options (merging is forced off for
+  /// restricted re-solves but honored by escalations), satisfiabilityOnly,
+  /// useIngressHint, threads, resilience.ladder/partialResults and
+  /// resilience.fullResolveOnInfeasible.  The session never enables the
+  /// observability registry; it records into it when the caller did.
   IncrementalSession(PlacementProblem base, Placement basePlacement,
                      PlaceOptions options = {});
 
@@ -108,8 +99,8 @@ class IncrementalSession {
   PlaceOutcome install(std::vector<topo::IngressPaths> newRouting,
                        std::vector<acl::Policy> newPolicies);
 
-  /// Re-route existing policies (ids into problem()); `newRouting[i]`
-  /// replaces the routing of `policyIds[i]`.
+  /// Re-route existing policies (ids into problem(), no duplicates);
+  /// `newRouting[i]` replaces the routing of `policyIds[i]`.
   PlaceOutcome reroute(const std::vector<int>& policyIds,
                        std::vector<topo::IngressPaths> newRouting);
 
@@ -118,76 +109,50 @@ class IncrementalSession {
   const Placement& placement() const noexcept { return placement_; }
 
   int events() const noexcept { return events_; }       ///< committed events
-  int repacks() const noexcept { return repacks_; }     ///< pin-drop re-solves
+  int repacks() const noexcept { return repacks_; }     ///< committed repacks
   int escalations() const noexcept { return escalations_; }
-  /// Cumulative statistics of the persistent solver (all events).
-  const solver::SolverStats& solverStats() const noexcept {
-    return opt_.stats();
-  }
 
  private:
-  struct PolicyState {
-    bool sessionManaged = false;  ///< placed via session vars (group active)
-    solver::IncrementalOptimizer::GroupId group = -1;
-    std::vector<solver::ModelVar> vars;
-  };
-  struct VarKey {
-    int policyId;  ///< combined policy id
-    int ruleId;
-    topo::SwitchId switchId;
-  };
-  /// Objective lower bound contributed by one committed event; valid while
-  /// every member policy still carries the group it was installed with.
-  struct EventLb {
-    std::vector<std::pair<int, solver::IncrementalOptimizer::GroupId>> members;
-    std::int64_t lb = 0;
-  };
-  struct EventRun {
-    solver::OptResult result;
-    std::vector<solver::IncrementalOptimizer::GroupId> groups;  // per target
-    solver::IncrementalOptimizer::GroupId epoch = -1;
-    solver::IncrementalOptimizer::GroupId prevEpoch = -1;
-    std::vector<std::vector<solver::ModelVar>> varsPerTarget;
-    std::int64_t lb = 0;
-    EncodingStats encStats;
-    int modelVars = 0;
-    std::int64_t modelConstraints = 0;
-    bool repacked = false;
+  /// One event in combined ids: its target policies and their new routing.
+  /// An install carries the new policies too (ids from policyCount() on);
+  /// a reroute's `policies` stays empty.
+  struct Event {
+    std::vector<int> ids;
+    std::vector<topo::IngressPaths> routing;
+    std::vector<acl::Policy> policies;
+    std::vector<int> moved;      ///< already-deployed targets, sorted
+    std::vector<int> movedBase;  ///< those of `moved` in the base
   };
 
-  std::vector<int> baseSpare() const;
   /// The per-event budget: options_.budget with any wall deadline re-armed
   /// to the span it was constructed with.  A session outlives single
   /// events by design, so the absolute deadline captured at construction
   /// would go stale and reject every event after the first timeout.
   solver::Budget eventBudget() const;
-  /// Delta-encode + solve one event (shared by install/reroute).  Leaves
-  /// the new groups active; commit/rollback is the caller's job.
-  EventRun runEvent(const PlacementProblem& delta,
-                    const std::vector<int>& targetIds);
-  void rollbackRun(const EventRun& run);
-  void rebuildPlacement();
-  PlaceOutcome successOutcome(const EventRun& run,
-                              const solver::SolverStats& before);
-  PlaceOutcome failureOutcome(const EventRun& run,
-                              const solver::SolverStats& before);
-  /// Replace the whole session state with a full re-solve's outcome.
-  void adoptFull(const PlaceOutcome& out);
+  /// Run the rungs for one event and commit the first success.
+  PlaceOutcome apply(Event event);
+  /// The policies `others` (combined ids, event targets excluded) plus the
+  /// event's targets, against `capacity`.
+  PlacementProblem subproblem(const Event& event,
+                              const std::vector<int>& others,
+                              std::vector<int> capacity) const;
+  /// Apply the event to `problem` (the combined one or a copy), moving
+  /// its routing and policies out.
+  static void moveInto(Event& event, PlacementProblem& problem);
+  /// Adopt a rung's result: `placed` covers the policies `placedIds`
+  /// (tags in that order); `repacked` says it replaces every
+  /// session-placed entry rather than adding to the deployment.
+  void commit(Event& event, const Placement& placed,
+              const std::vector<int>& placedIds, bool repacked);
 
   PlaceOptions options_;
   /// Wall-clock span (seconds) each event may take; < 0 when the
   /// constructing options carried no wall deadline.
   double eventDeadlineSeconds_ = -1.0;
   PlacementProblem combined_;
-  Placement basePlacement_;  ///< deployment NOT managed by session vars
-  Placement placement_;      ///< basePlacement_ + session-managed rules
-  solver::IncrementalOptimizer opt_;
-  std::vector<PolicyState> policies_;       // by combined policy id
-  std::vector<VarKey> varKeys_;             // by session ModelVar
-  std::vector<std::int64_t> varObjCoeff_;   // by session ModelVar
-  std::vector<char> varValue_;              // committed values, by ModelVar
-  solver::IncrementalOptimizer::GroupId capacityEpoch_ = -1;
-  std::vector<EventLb> eventLbs_;
+  Placement basePlacement_;  ///< deployment of the non-session policies
+  Placement placement_;      ///< basePlacement_ + session-placed entries
+  std::vector<char> sessionPlaced_;  ///< by combined policy id
   int events_ = 0;
   int repacks_ = 0;
   int escalations_ = 0;

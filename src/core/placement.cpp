@@ -42,10 +42,15 @@ void Placement::appendMapped(const Placement& other,
   }
 }
 
-void Placement::erasePolicy(int policyId) {
+void Placement::erasePolicies(const std::vector<int>& sortedPolicyIds) {
+  if (sortedPolicyIds.empty()) return;
+  auto erased = [&](int tag) {
+    return std::binary_search(sortedPolicyIds.begin(), sortedPolicyIds.end(),
+                              tag);
+  };
   for (auto& table : tables_) {
     for (auto& entry : table) {
-      std::erase(entry.tags, policyId);
+      std::erase_if(entry.tags, erased);
     }
     std::erase_if(table,
                   [](const InstalledRule& r) { return r.tags.empty(); });

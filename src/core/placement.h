@@ -88,7 +88,9 @@ class Placement {
   /// Remove every entry belonging solely to `policyId` and strip its tag
   /// from merged entries (dropping those that lose all tags).  Used by the
   /// incremental placer when a policy is rerouted or uninstalled (§IV-E).
-  void erasePolicy(int policyId);
+  void erasePolicy(int policyId) { erasePolicies({policyId}); }
+  /// erasePolicy() for every id in `sortedPolicyIds`, in one pass.
+  void erasePolicies(const std::vector<int>& sortedPolicyIds);
 
   std::string toString(const PlacementProblem& problem) const;
 

@@ -396,8 +396,8 @@ PlaceOutcome finishComponent(PlaceOutcome outcome, PlacementProblem problem,
 // exactly this path.
 //
 // Resilience contract: the exact pipeline (merge analysis -> encode ->
-// solve -> extract) runs first.  A deadline trip, exhausted budget, or —
-// with isolateFailures — any exception becomes a FailureInfo instead of
+// solve -> extract) runs first.  A deadline trip, exhausted budget, or any
+// other exception (std::logic_error aside) becomes a FailureInfo instead of
 // escaping; the degradation ladder (when enabled) then retries the same
 // model satisfiability-only and finally falls back to the greedy
 // heuristic.  UNSAT is a definitive verdict, never laddered over.
@@ -513,9 +513,6 @@ PlaceOutcome placeComponent(PlacementProblem problem,
     }
     pipelineDone = true;
   } catch (const util::DeadlineExceeded& e) {
-    if (!options.resilience.isolateFailures && !options.resilience.ladder) {
-      throw;
-    }
     outcome.status = solver::OptStatus::kUnknown;
     outcome.failure = FailureInfo{solver::OptStatus::kUnknown, stage,
                                   secondsSince(compStart), e.what()};
@@ -525,7 +522,6 @@ PlaceOutcome placeComponent(PlacementProblem problem,
     // them would convert a programming error into a quiet kUnknown.
     throw;
   } catch (const std::exception& e) {
-    if (!options.resilience.isolateFailures) throw;
     outcome.status = solver::OptStatus::kUnknown;
     outcome.failure = FailureInfo{solver::OptStatus::kUnknown, stage,
                                   secondsSince(compStart), e.what()};
@@ -585,7 +581,6 @@ PlaceOutcome placeComponent(PlacementProblem problem,
       } catch (const std::logic_error&) {
         throw;  // caller bug — same policy as the exact pipeline above
       } catch (const std::exception& e) {
-        if (!options.resilience.isolateFailures) throw;
         if (!outcome.failure) {
           outcome.failure =
               FailureInfo{solver::OptStatus::kUnknown, SolveStage::kGreedy,

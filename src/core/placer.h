@@ -74,10 +74,6 @@ struct ResilienceOptions {
   /// placement of the successful ones (PlaceOutcome::partial) instead of
   /// nothing.  The failed components' policies have no entries.
   bool partialResults = false;
-  /// Convert per-component exceptions into FailureInfo instead of letting
-  /// them propagate out of place().  On by default: one poisoned
-  /// component should not take down the run.
-  bool isolateFailures = true;
   /// Incremental placer only: when the restricted re-solve is infeasible
   /// against spare capacity, escalate to a full re-solve automatically.
   bool fullResolveOnInfeasible = false;

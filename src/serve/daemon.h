@@ -64,7 +64,8 @@ struct DaemonOptions {
   bool satisfiabilityOnly = true;
   /// Escalate infeasible restricted re-solves to a full re-place.
   bool escalate = true;
-  /// Committed events between session hygiene rebases (0 = never).
+  /// Committed events between session rebases (0 = never); see
+  /// Shard::Config::rebaseEvents.
   int rebaseEvents = 512;
   /// Seed for deterministic path tie-breaking; path of event seq is a pure
   /// function of (routeSeed, seq).

@@ -208,10 +208,8 @@ bool Shard::applyCapacity(const Queued& q, std::string* error) {
   std::vector<int> caps = capacityShare_;
   caps[static_cast<std::size_t>(sw)] = q.event.capacity;
 
-  // Rebase the session onto the new capacity vector.  The session's
-  // capacity rows are derived from problem().capacityOf() at event time, so
-  // an in-place override mutation would race committed state; a fresh
-  // session over the same committed deployment is the clean cut.
+  // Rebase the session onto the new capacity vector: a fresh session over
+  // the same committed deployment is the clean cut.
   core::PlacementProblem problem = session_->problem();
   problem.capacityOverride = caps;
   core::Placement placement = session_->placement();

@@ -1,6 +1,6 @@
 #pragma once
 // One daemon shard: a partition of the ingress ports, its policies, and a
-// persistent core::IncrementalSession applying their churn.
+// core::IncrementalSession applying their churn.
 //
 // Threading contract (the whole point of the shape):
 //   * enqueue() is called by the ingest thread, any time;
@@ -14,7 +14,7 @@
 //
 // A batch is the queue's front slice (bounded by Config::maxBatch),
 // coalesced into runs of same-kind events: consecutive installs become one
-// session install (one delta encode + solve for the whole run), consecutive
+// session install (one restricted re-solve for the whole run), consecutive
 // reroutes one session reroute with last-wins dedup per policy.  A failed
 // multi-event run is retried event-by-event so one poison event cannot take
 // down its whole batch — which also exercises the session's rollback path
@@ -45,10 +45,10 @@ class Shard {
  public:
   struct Config {
     std::size_t maxBatch = 256;
-    /// Committed session events between hygiene rebases (0 = never).  A
-    /// rebase rebuilds the session from its own committed state, dropping
-    /// retired groups and dead variables so a million-event run cannot grow
-    /// the persistent solver without bound.
+    /// Committed session events between rebases (0 = never).  A rebase
+    /// rebuilds the session from its own committed state, which moves every
+    /// session-placed policy into the fixed base: a later repack may then
+    /// move only what the session placed since.
     int rebaseEvents = 512;
     /// Overload rung: when the queue holds at least this many events at
     /// drain time, the batch takes the WHOLE queue (maximum coalescing)

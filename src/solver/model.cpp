@@ -137,9 +137,6 @@ std::string Model::name(const NameRef& n) const {
     case NameRef::Kind::kCap:
       std::snprintf(buf, sizeof(buf), "cap_s%d", n.a);
       return buf;
-    case NameRef::Kind::kSessionCap:
-      std::snprintf(buf, sizeof(buf), "session_cap_s%d", n.a);
-      return buf;
     case NameRef::Kind::kPresolvePath:
       std::snprintf(buf, sizeof(buf), "presolve_cut:p%d_path%d", n.a, n.b);
       return buf;

@@ -47,7 +47,6 @@ struct NameRef {
     kDep,            ///< "dep_p<a>_r<b>_s<c>" — Eq.1 shield constraint
     kPath,           ///< "path_p<a>_r<b>" — Eq.2 per-path cover
     kCap,            ///< "cap_s<a>" — Eq.3 switch capacity
-    kSessionCap,     ///< "session_cap_s<a>" — incremental session capacity
     kPresolvePath,   ///< "presolve_cut:p<a>_path<b>"
     kPresolveTotal,  ///< "presolve_cut:total_capacity"
     kFix,            ///< "fix:<varName(a)>" — pinned variable
@@ -76,9 +75,6 @@ struct NameRef {
   }
   static NameRef cap(std::int32_t sw) noexcept {
     return {Kind::kCap, sw, 0, 0};
-  }
-  static NameRef sessionCap(std::int32_t sw) noexcept {
-    return {Kind::kSessionCap, sw, 0, 0};
   }
   static NameRef presolvePath(int policyId, int pathIdx) noexcept {
     return {Kind::kPresolvePath, policyId, pathIdx, 0};
@@ -158,8 +154,7 @@ class ExprView {
   std::int64_t constant_ = 0;
 };
 
-/// Builder-form constraint: used to hand ad-hoc constraint groups to the
-/// incremental optimizer (solver/incremental.h) and by white-box tests.
+/// Builder-form constraint, for white-box tests that lower ad-hoc rows.
 /// The Model itself stores rows in CSR form (see ConstraintView).
 struct Constraint {
   LinearExpr expr;
@@ -217,8 +212,8 @@ class Model {
   void addConstraint(LinearExpr expr, Cmp cmp, std::int64_t rhs,
                      std::string name);
 
-  /// Force a variable's value (used by the incremental placer to pin the
-  /// existing deployment, §IV-E).
+  /// Force a variable's value (a "fix:" row; the encoder forbids
+  /// placements upstream of a monitor with it).
   void fixVariable(ModelVar v, bool value);
 
   void setObjective(LinearExpr objective);

@@ -61,7 +61,7 @@ class Optimizer {
                             const Budget& budget = Budget::unlimited());
 
   /// Solve with a warm-start hint: variable phases are seeded from `hint`
-  /// (pairs of (var, value)); used by the incremental placer.
+  /// (pairs of (var, value)); core::place passes the ingress hint.
   static OptResult solveWithHint(
       const Model& model, const std::vector<std::pair<ModelVar, bool>>& hint,
       const Budget& budget = Budget::unlimited());
@@ -83,11 +83,11 @@ class Optimizer {
 };
 
 /// Lower one model row into the solver: the one normalize-and-gate routine
-/// behind Optimizer and IncrementalOptimizer.  Terms are normalized to
-/// positive-coefficient literals in the solver's reused term buffer (kLe /
-/// kEq rows are negated on the fly, not copied).  With a defined `gate` the
-/// row is enforced only while `gate` is true (see incremental.h).  Returns
-/// false if the solver became root-UNSAT.
+/// behind Optimizer.  Terms are normalized to positive-coefficient literals
+/// in the solver's reused term buffer (kLe / kEq rows are negated on the
+/// fly, not copied).  With a defined `gate` the row is enforced only while
+/// `gate` is true (the optimizer's strengthening bounds, docs/solver.md).
+/// Returns false if the solver became root-UNSAT.
 bool lowerConstraint(Solver& solver, const ConstraintView& row,
                      const std::vector<Var>& varMap, Lit gate = Lit::undef());
 

@@ -1,9 +1,9 @@
-// Assumption-based incremental solving (docs/solver.md "Incremental
-// solving"): solve-under-assumptions and unsat cores, clause reuse across
-// calls, the IncrementalOptimizer's retractable groups and pins, the
-// IncrementalSession churn API, the portfolio race — plus regression tests
-// for the solver re-entry bugs this work uncovered (VSIDS heap var leak,
-// restart-cycle and reduceDB-threshold reset on every solve() call).
+// Assumption-based incremental solving (docs/solver.md "Solving under
+// assumptions"): solve-under-assumptions and unsat cores, clause reuse
+// across calls, the IncrementalSession churn API, the portfolio race —
+// plus regression tests for the solver re-entry bugs this work uncovered
+// (VSIDS heap var leak, restart-cycle and reduceDB-threshold reset on
+// every solve() call).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/placer.h"
 #include "core/verify.h"
 #include "match/cubeset.h"
-#include "solver/incremental.h"
 #include "solver/optimize.h"
 #include "solver/sat.h"
 
@@ -268,166 +267,6 @@ TEST(PBOverflow, ObjectiveBoundWithLargeWeightsStillOptimizes) {
   EXPECT_TRUE(r.assignment[static_cast<std::size_t>(x)]);
 }
 
-// ---- IncrementalOptimizer -------------------------------------------------
-
-Constraint ge(std::vector<std::pair<std::int64_t, ModelVar>> terms,
-              std::int64_t rhs, std::string = {}) {
-  // The label argument is documentation only — group constraints carry no
-  // interned names outside a Model.
-  Constraint c;
-  for (auto& [coeff, v] : terms) c.expr.add(coeff, v);
-  c.cmp = Cmp::kGe;
-  c.rhs = rhs;
-  return c;
-}
-
-TEST(IncrementalOptimizer, GroupsActivateDeactivateRetire) {
-  IncrementalOptimizer opt;
-  opt.ensureVars(2);
-  // Group A: x0; Group B: ~x0 (jointly unsat).
-  Constraint a = ge({{1, 0}}, 1, "a");
-  Constraint b;
-  b.expr.add(1, 0);
-  b.cmp = Cmp::kLe;
-  b.rhs = 0;
-  auto ga = opt.addGroup({a});
-  auto gb = opt.addGroup({b});
-  OptResult r = opt.solveSat(Budget::unlimited());
-  EXPECT_EQ(r.status, OptStatus::kInfeasible);
-  // The final conflict names both groups.
-  auto core = opt.coreGroups();
-  EXPECT_EQ(core.size(), 2u);
-  opt.setActive(gb, false);
-  r = opt.solveSat(Budget::unlimited());
-  ASSERT_EQ(r.status, OptStatus::kOptimal);
-  EXPECT_TRUE(r.assignment[0]);
-  opt.setActive(gb, true);
-  EXPECT_EQ(opt.solveSat(Budget::unlimited()).status, OptStatus::kInfeasible);
-  opt.retire(ga);
-  r = opt.solveSat(Budget::unlimited());
-  ASSERT_EQ(r.status, OptStatus::kOptimal);
-  EXPECT_FALSE(r.assignment[0]);
-  EXPECT_TRUE(opt.okay());  // retirement never poisons the solver
-}
-
-TEST(IncrementalOptimizer, PinsRestrictAndReportCores) {
-  IncrementalOptimizer opt;
-  opt.ensureVars(3);
-  // x0 + x1 + x2 >= 2.
-  opt.addGroup({ge({{1, 0}, {1, 1}, {1, 2}}, 2, "card")});
-  opt.pin(0, false);
-  opt.pin(1, false);
-  OptResult r = opt.solveSat(Budget::unlimited());
-  EXPECT_EQ(r.status, OptStatus::kInfeasible);
-  auto pins = opt.corePins();
-  EXPECT_FALSE(pins.empty());
-  for (ModelVar v : pins) EXPECT_TRUE(v == 0 || v == 1);
-  opt.clearPins();
-  opt.pin(0, false);
-  r = opt.solveSat(Budget::unlimited());
-  ASSERT_EQ(r.status, OptStatus::kOptimal);
-  EXPECT_FALSE(r.assignment[0]);
-  EXPECT_TRUE(r.assignment[1]);
-  EXPECT_TRUE(r.assignment[2]);
-}
-
-TEST(IncrementalOptimizer, OptimizeMatchesFreshOptimizerAcrossChanges) {
-  // Weighted set-cover optimized three times on ONE persistent solver with
-  // the constraint set changing in between; every answer must match a
-  // from-scratch Optimizer on the equivalent model.
-  IncrementalOptimizer opt;
-  opt.ensureVars(4);
-  LinearExpr obj;
-  obj.add(3, 0).add(2, 1).add(2, 2).add(5, 3);
-  auto g1 = opt.addGroup({ge({{1, 0}, {1, 1}}, 1, "c1"),
-                          ge({{1, 1}, {1, 2}}, 1, "c2")});
-  OptResult r = opt.optimize(obj, Budget::unlimited());
-  ASSERT_EQ(r.status, OptStatus::kOptimal);
-  EXPECT_EQ(r.objective, 2);  // x1 covers both
-
-  auto g2 = opt.addGroup({ge({{1, 0}, {1, 3}}, 1, "c3")});
-  r = opt.optimize(obj, Budget::unlimited());
-  ASSERT_EQ(r.status, OptStatus::kOptimal);
-  EXPECT_EQ(r.objective, 5);  // x0 + x2 (3+2) beats x1 + min(x0,x3)
-
-  // Retract the first group: only c3 remains.
-  opt.setActive(g1, false);
-  r = opt.optimize(obj, Budget::unlimited());
-  ASSERT_EQ(r.status, OptStatus::kOptimal);
-  EXPECT_EQ(r.objective, 3);
-  (void)g2;
-
-  // Cross-check the middle step against a fresh optimizer.
-  Model m;
-  for (int i = 0; i < 4; ++i) m.addBinary();
-  LinearExpr c1, c2, c3;
-  c1.add(1, 0).add(1, 1);
-  c2.add(1, 1).add(1, 2);
-  c3.add(1, 0).add(1, 3);
-  m.addConstraint(c1, Cmp::kGe, 1);
-  m.addConstraint(c2, Cmp::kGe, 1);
-  m.addConstraint(c3, Cmp::kGe, 1);
-  m.setObjective(obj);
-  OptResult fresh = Optimizer::solve(m);
-  ASSERT_EQ(fresh.status, OptStatus::kOptimal);
-  EXPECT_EQ(fresh.objective, 5);
-}
-
-TEST(IncrementalOptimizer, ObjectiveIsMonotoneOverRepeatedOptimizeCalls) {
-  // Regression for incumbent phase seeding: re-optimizing after adding
-  // constraints must never report a better-than-possible objective, and
-  // tightening the instance can only increase the optimum.
-  IncrementalOptimizer opt;
-  const int n = 8;
-  opt.ensureVars(n);
-  LinearExpr obj;
-  for (int i = 0; i < n; ++i) obj.add(i + 1, i);
-  std::vector<Constraint> cover;
-  for (int i = 0; i + 1 < n; ++i) {
-    cover.push_back(ge({{1, i}, {1, i + 1}}, 1));
-  }
-  opt.addGroup(cover);
-  std::int64_t last = -1;
-  for (int round = 0; round < 4; ++round) {
-    OptResult r = opt.optimize(obj, Budget::unlimited());
-    ASSERT_EQ(r.status, OptStatus::kOptimal) << "round " << round;
-    EXPECT_GE(r.objective, last) << "round " << round;
-    last = r.objective;
-    // Tighten: forbid the next even var (the odd vars alone still cover
-    // every adjacent pair, so the instance stays feasible all rounds).
-    Constraint forbid;
-    forbid.expr.add(1, 2 * round);
-    forbid.cmp = Cmp::kLe;
-    forbid.rhs = 0;
-    opt.addGroup({forbid});
-  }
-}
-
-TEST(IncrementalOptimizer, SatisfiabilityOnlyHonorsBudgetExhaustion) {
-  IncrementalOptimizer opt;
-  opt.ensureVars(170);
-  std::vector<Constraint> cs;
-  for (auto& cl : random3Sat(170, 748, /*seed=*/23)) {
-    Constraint c;
-    for (Lit l : cl) {
-      if (l.sign()) {
-        // ~x contributes (1 - x): fold into the rhs.
-        c.expr.add(-1, l.var());
-        c.rhs -= 1;
-      } else {
-        c.expr.add(1, l.var());
-      }
-    }
-    c.cmp = Cmp::kGe;
-    c.rhs += 1;
-    cs.push_back(std::move(c));
-  }
-  opt.addGroup(cs);
-  OptResult r = opt.solveSat(Budget::conflicts(10));
-  EXPECT_EQ(r.status, OptStatus::kUnknown);
-  EXPECT_TRUE(opt.okay());
-}
-
 }  // namespace
 }  // namespace ruleplace::solver
 
@@ -589,6 +428,52 @@ TEST(IncrementalSession, RepackMovesEarlierSessionPlacements) {
   // the invariant is that B ends on s1 and A on s0.
   EXPECT_EQ(session.placement().usedCapacity(net.sw[0]), 1);
   EXPECT_EQ(session.placement().usedCapacity(net.sw[1]), 1);
+}
+
+TEST(IncrementalSession, RepackMovesASessionPlacementWhenPinnedIsInfeasible) {
+  // Two switches of capacity 1.  A's path covers {s0, s1}, so the
+  // ingress-first placement puts its one rule on s0; B's path is {s0}
+  // alone.  Installing B against the deployment A left is provably
+  // infeasible (s0 is full and B can go nowhere else), so only the repack
+  // rung — A and B re-placed together on the empty base — can succeed,
+  // and it must move A to s1.
+  topo::Graph g;
+  const topo::SwitchId s0 = g.addSwitch(1);
+  const topo::SwitchId s1 = g.addSwitch(1);
+  g.addLink(s0, s1);
+  const topo::PortId inA = g.addEntryPort(s0);
+  const topo::PortId outA = g.addEntryPort(s1);
+  const topo::PortId inB = g.addEntryPort(s0);
+  const topo::PortId outB = g.addEntryPort(s0);
+  PlacementProblem base;
+  base.graph = &g;
+  IncrementalSession session(base, Placement{});
+
+  acl::Policy a;
+  a.addRule(T("10**"), Action::kDrop);
+  ASSERT_TRUE(session
+                  .install({{inA, {topo::Path{inA, outA, {s0, s1},
+                                              std::nullopt}}}},
+                           {a})
+                  .hasSolution());
+  ASSERT_EQ(session.placement().usedCapacity(s0), 1);  // the premise
+  ASSERT_EQ(session.placement().usedCapacity(s1), 0);
+  EXPECT_EQ(session.repacks(), 0);
+
+  acl::Policy b;
+  b.addRule(T("01**"), Action::kDrop);
+  PlaceOutcome out = session.install(
+      {{inB, {topo::Path{inB, outB, {s0}, std::nullopt}}}}, {b});
+  ASSERT_TRUE(out.hasSolution());
+  EXPECT_FALSE(out.escalatedFullResolve);
+  EXPECT_EQ(session.repacks(), 1);
+  EXPECT_EQ(session.escalations(), 0);
+  EXPECT_EQ(session.events(), 2);
+  EXPECT_EQ(session.placement().usedCapacity(s0), 1);
+  EXPECT_EQ(session.placement().usedCapacity(s1), 1);
+  EXPECT_EQ(session.placement().visibleTo(s1, 0).size(), 1u);  // A moved
+  EXPECT_EQ(session.placement().visibleTo(s0, 1).size(), 1u);  // B placed
+  EXPECT_TRUE(verifyPlacement(session.problem(), session.placement()));
 }
 
 TEST(IncrementalSession, EscalatesToFullResolveWhenConfigured) {
