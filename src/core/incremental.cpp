@@ -31,6 +31,17 @@ std::vector<int> spareWithout(const PlacementProblem& problem,
   return spare;
 }
 
+// A one-event session's outcome, carrying the combined deployment and
+// problem once the event committed.
+PlaceOutcome combinedOutcome(const IncrementalSession& session,
+                             PlaceOutcome out) {
+  if (out.hasSolution()) {
+    out.placement = session.placement();
+    out.solvedProblem = session.problem();
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<int> spareCapacities(const PlacementProblem& problem,
@@ -53,8 +64,10 @@ PlaceOutcome installPolicies(const PlacementProblem& problem,
                              std::vector<topo::IngressPaths> newRouting,
                              std::vector<acl::Policy> newPolicies,
                              const PlaceOptions& options) {
-  return IncrementalSession(problem, base, options)
-      .install(std::move(newRouting), std::move(newPolicies));
+  IncrementalSession session(problem, base, options);
+  PlaceOutcome out =
+      session.install(std::move(newRouting), std::move(newPolicies));
+  return combinedOutcome(session, std::move(out));
 }
 
 PlaceOutcome reroutePolicies(const PlacementProblem& problem,
@@ -62,8 +75,9 @@ PlaceOutcome reroutePolicies(const PlacementProblem& problem,
                              const std::vector<int>& policyIds,
                              std::vector<topo::IngressPaths> newRouting,
                              const PlaceOptions& options) {
-  return IncrementalSession(problem, base, options)
-      .reroute(policyIds, std::move(newRouting));
+  IncrementalSession session(problem, base, options);
+  PlaceOutcome out = session.reroute(policyIds, std::move(newRouting));
+  return combinedOutcome(session, std::move(out));
 }
 
 // ---- IncrementalSession -----------------------------------------------------
@@ -158,12 +172,6 @@ PlaceOutcome IncrementalSession::apply(Event event) {
       event.movedBase.push_back(id);
     }
   }
-  auto committed = [&](PlaceOutcome out) {
-    out.placement = placement_;
-    out.solvedProblem = combined_;
-    return out;
-  };
-
   // Restricted re-solves place the event's policies as given and count
   // every new entry once against spare capacity: no merging, no
   // redundancy removal.  Both rungs share one re-armed event budget.  With
@@ -181,7 +189,7 @@ PlaceOutcome IncrementalSession::apply(Event event) {
       restricted);
   if (out.hasSolution()) {
     commit(event, out.placement, event.ids, false);
-    return committed(std::move(out));
+    return out;
   }
 
   // Repack: the session-placed policies outside the event may move too;
@@ -205,7 +213,7 @@ PlaceOutcome IncrementalSession::apply(Event event) {
       ++repacks_;
       others.insert(others.end(), event.ids.begin(), event.ids.end());
       commit(event, out.placement, others, true);
-      return committed(std::move(out));
+      return out;
     }
   }
   if (out.status != solver::OptStatus::kInfeasible ||

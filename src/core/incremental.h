@@ -37,7 +37,8 @@ std::vector<int> spareCapacities(const PlacementProblem& problem,
 /// deployment: a one-event IncrementalSession.  `newRouting[i]` carries
 /// the paths for `newPolicies[i]`; their policy ids in the combined
 /// placement start at `problem.policyCount()`.  On success the returned
-/// outcome's placement is the *combined* deployment (base plus new rules).
+/// outcome's placement is the *combined* deployment (base plus new rules)
+/// and its solvedProblem the combined problem.
 PlaceOutcome installPolicies(const PlacementProblem& problem,
                              const Placement& base,
                              std::vector<topo::IngressPaths> newRouting,
@@ -48,7 +49,7 @@ PlaceOutcome installPolicies(const PlacementProblem& problem,
 /// then re-place them on their new paths using only the freed + spare
 /// capacity (a one-event IncrementalSession).  `newRouting[i]` replaces
 /// the routing of `policyIds[i]`.  On success the returned placement is
-/// the combined deployment.
+/// the combined deployment and solvedProblem the combined problem.
 PlaceOutcome reroutePolicies(const PlacementProblem& problem,
                              const Placement& base,
                              const std::vector<int>& policyIds,
@@ -73,13 +74,16 @@ PlaceOutcome reroutePolicies(const PlacementProblem& problem,
 ///      becomes the new base (the outcome's escalatedFullResolve is set).
 /// Rungs 1 and 2 share one event budget; an escalation gets a fresh one.
 ///
+/// Every outcome is the last rung's own place() result: its placement and
+/// solvedProblem cover that rung's subproblem (the event's policies; plus
+/// the repacked ones for a repack; the whole combined problem for an
+/// escalation).  The combined deployment is read from problem() and
+/// placement(), so a pinned or repacked event costs no copy of it.
 /// Nothing is committed before a rung succeeds, so a failed event
 /// (infeasible without escalation, or budget exhausted) leaves problem()
-/// and placement() exactly as they were; its outcome is the last rung's
-/// place() result, over that rung's subproblem.  A committed outcome's
-/// placement is the *combined* deployment and solvedProblem the combined
-/// problem.  The sequence of placements is deterministic: it depends only
-/// on the event sequence, never on wall-clock or thread count.
+/// and placement() exactly as they were.  The sequence of placements is
+/// deterministic: it depends only on the event sequence, never on
+/// wall-clock or thread count.
 class IncrementalSession {
  public:
   /// `base` is the deployed problem, `basePlacement` its current (verified)
@@ -94,8 +98,7 @@ class IncrementalSession {
                      PlaceOptions options = {});
 
   /// Install additional policies; ids in the combined problem start at
-  /// problem().policyCount().  On success the session state advances and
-  /// the outcome carries the combined placement/problem.
+  /// problem().policyCount().  On success the session state advances.
   PlaceOutcome install(std::vector<topo::IngressPaths> newRouting,
                        std::vector<acl::Policy> newPolicies);
 

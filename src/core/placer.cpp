@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -78,195 +77,6 @@ void countRung(PlaceRung rung) {
   if (name != nullptr) obs::Registry::global().counter(name).add(1);
 }
 
-// ---- portfolio race ---------------------------------------------------------
-//
-// One racer per diversified solver configuration plus the greedy heuristic,
-// all attacking the same encoded model.  Arbitration is by *priority*, not
-// finish order: racer 0 is the configuration the caller actually asked for,
-// and a racer's success cancels only lower-priority racers — a racer with a
-// higher priority than the winner was therefore never cancelled and ran to
-// its own deterministic (conflict-budgeted) verdict.  By induction the
-// winner, its solution, and the accumulated statistics of racers
-// 0..winner are all independent of the thread count.
-
-struct RacerSpec {
-  solver::Solver::Config cfg;
-  bool useObjective = false;
-  bool useHint = false;
-  bool greedy = false;
-  PlaceRung rung = PlaceRung::kOptimal;
-  const char* name = "";
-};
-
-std::vector<RacerSpec> portfolioSpecs(const PlaceOptions& options) {
-  std::vector<RacerSpec> specs;
-  // Racer 0: exactly the configuration a non-portfolio run would use, so a
-  // race can never return a worse answer than the plain pipeline (it wins
-  // whenever it solves).
-  solver::Solver::Config base;
-  const bool optimizing = !options.satisfiabilityOnly;
-  specs.push_back({base, optimizing, options.useIngressHint, false,
-                   optimizing ? PlaceRung::kOptimal : PlaceRung::kSatOnly,
-                   optimizing ? "opt-luby" : "sat-luby"});
-  // Racer 1: same objective, different seed, geometric restarts and a dash
-  // of random polarity — a genuinely different search trajectory.
-  solver::Solver::Config geo;
-  geo.seed = 0x9e3779b97f4a7c15ull;
-  geo.restartBase = 100;
-  geo.geometricRestarts = true;
-  geo.randomPolarityFreq = 0.02;
-  specs.push_back({geo, optimizing, false, false,
-                   optimizing ? PlaceRung::kOptimal : PlaceRung::kSatOnly,
-                   optimizing ? "opt-geometric" : "sat-geometric"});
-  if (optimizing) {
-    // Racer 2: satisfiability-only — any placement beats none when both
-    // optimizing racers run out of budget.
-    solver::Solver::Config sat;
-    sat.seed = 0x2545f4914f6cdd1dull;
-    specs.push_back({sat, false, false, false, PlaceRung::kSatOnly, "sat"});
-  }
-  // Last racer: the polynomial greedy heuristic, the floor of the race.
-  specs.push_back({solver::Solver::Config{}, false, false, true,
-                   PlaceRung::kGreedy, "greedy"});
-  return specs;
-}
-
-struct RaceOutcome {
-  int winner = -1;                ///< lowest-priority-index racer that solved
-  PlaceRung rung = PlaceRung::kOptimal;
-  bool greedyWinner = false;
-  solver::OptResult result;       ///< winner's result (solver racers)
-  GreedyOutcome greedy;           ///< winner's result (greedy racer)
-  /// Accumulated over racers 0..winner (everything up to the winner ran
-  /// uncancelled, so the sum is deterministic under conflict budgets).
-  solver::SolverStats stats;
-  /// With no winner: kInfeasible when any complete racer proved UNSAT
-  /// (definitive — all racers share one model), else kUnknown.
-  solver::OptStatus failStatus = solver::OptStatus::kUnknown;
-};
-
-RaceOutcome racePortfolio(const PlacementProblem& problem,
-                          const Encoder& encoder,
-                          const PlaceOptions& options) {
-  const std::vector<RacerSpec> specs = portfolioSpecs(options);
-  const int n = static_cast<int>(specs.size());
-  obs::Span span("place.portfolio");
-  span.arg("racers", n);
-
-  std::vector<std::pair<solver::ModelVar, bool>> hint;
-  for (const RacerSpec& s : specs) {
-    if (s.useHint) {
-      hint = encoder.ingressHint();
-      break;
-    }
-  }
-
-  std::vector<solver::OptResult> results(static_cast<std::size_t>(n));
-  std::vector<GreedyOutcome> greedies(static_cast<std::size_t>(n));
-  std::vector<char> solved(static_cast<std::size_t>(n), 0);
-  std::vector<util::CancelToken> cancels;
-  cancels.reserve(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) cancels.push_back(util::CancelToken::create());
-
-  std::mutex mu;
-  auto runRacer = [&](int j) {
-    const RacerSpec& spec = specs[static_cast<std::size_t>(j)];
-    bool ok = false;
-    try {
-      if (spec.greedy) {
-        greedies[static_cast<std::size_t>(j)] = greedyPlace(
-            problem, options.encoder.enablePathSlicing,
-            options.budget.deadline.withToken(cancels[static_cast<std::size_t>(j)]));
-        ok = greedies[static_cast<std::size_t>(j)].feasible;
-      } else {
-        solver::Budget b = options.budget;
-        b.deadline =
-            b.deadline.withToken(cancels[static_cast<std::size_t>(j)]);
-        results[static_cast<std::size_t>(j)] =
-            solver::Optimizer::solveConfigured(
-                encoder.model(), spec.cfg, spec.useObjective,
-                spec.useHint ? &hint : nullptr, b);
-        ok = results[static_cast<std::size_t>(j)].hasSolution();
-      }
-    } catch (const std::logic_error&) {
-      throw;  // caller bug — same policy as the exact pipeline
-    } catch (const std::exception&) {
-      ok = false;  // a dead racer just loses the race
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    solved[static_cast<std::size_t>(j)] = ok ? 1 : 0;
-    if (ok) {
-      for (int l = j + 1; l < n; ++l) {
-        cancels[static_cast<std::size_t>(l)].requestCancel();
-      }
-    }
-  };
-
-  const int requested = options.threads > 0 ? options.threads
-                                            : util::ThreadPool::hardwareThreads();
-  const int workers = std::min(requested, n);
-  if (workers <= 1) {
-    // Sequential race: a success makes every lower-priority racer
-    // irrelevant, so skipping them is exactly the parallel arbitration.
-    for (int j = 0; j < n; ++j) {
-      runRacer(j);
-      if (solved[static_cast<std::size_t>(j)] != 0) break;
-    }
-  } else {
-    util::ThreadPool pool(workers);
-    for (int j = 0; j < n; ++j) {
-      pool.submit([&runRacer, &cancels, j] {
-        if (obs::enabled()) {
-          obs::Registry::global().setThreadLabel("portfolio-racer");
-        }
-        // Already outraced before starting: don't burn a core on it.
-        if (!cancels[static_cast<std::size_t>(j)].cancelled()) runRacer(j);
-      });
-    }
-    pool.wait();
-  }
-
-  RaceOutcome out;
-  for (int j = 0; j < n && out.winner < 0; ++j) {
-    if (solved[static_cast<std::size_t>(j)] != 0) out.winner = j;
-  }
-  const int statsUpTo = out.winner < 0 ? n : out.winner + 1;
-  for (int j = 0; j < statsUpTo; ++j) {
-    if (!specs[static_cast<std::size_t>(j)].greedy) {
-      accumulate(out.stats, results[static_cast<std::size_t>(j)].stats);
-    }
-  }
-  if (out.winner >= 0) {
-    const RacerSpec& w = specs[static_cast<std::size_t>(out.winner)];
-    out.rung = w.rung;
-    if (w.greedy) {
-      out.greedyWinner = true;
-      out.greedy = std::move(greedies[static_cast<std::size_t>(out.winner)]);
-    } else {
-      out.result = std::move(results[static_cast<std::size_t>(out.winner)]);
-    }
-    if (obs::enabled()) {
-      obs::Registry::global()
-          .counter(std::string("place.portfolio.win.") + w.name)
-          .add(1);
-    }
-  } else {
-    for (int j = 0; j < n; ++j) {
-      if (!specs[static_cast<std::size_t>(j)].greedy &&
-          results[static_cast<std::size_t>(j)].status ==
-              solver::OptStatus::kInfeasible) {
-        out.failStatus = solver::OptStatus::kInfeasible;
-        break;
-      }
-    }
-  }
-  if (obs::enabled()) {
-    obs::Registry::global().counter("place.portfolio.races").add(1);
-  }
-  span.arg("winner", out.winner);
-  return out;
-}
-
 // ---- certified fast path ----------------------------------------------------
 //
 // Under the total-rules objective with merging and monitors off, every
@@ -283,8 +93,7 @@ RaceOutcome racePortfolio(const PlacementProblem& problem,
 bool fastPathApplies(const PlaceOptions& options) {
   return options.encoder.objective == ObjectiveKind::kTotalRules &&
          !options.encoder.enableMerging && options.encoder.monitors.empty() &&
-         !options.satisfiabilityOnly && options.useIngressHint &&
-         !options.portfolio;
+         !options.satisfiabilityOnly && options.useIngressHint;
 }
 
 // True when every entry of the walk sits at its policy's ingress switch:
@@ -420,7 +229,6 @@ PlaceOutcome placeComponent(PlacementProblem problem,
   std::optional<Encoder> encoderOpt;
   SolveStage stage = SolveStage::kMergeAnalysis;
   bool pipelineDone = false;
-  bool raceRan = false;
   try {
     // Cooperative cancellation: a component that starts after the shared
     // deadline passed (a still-queued sibling of a slow wave) skips the
@@ -462,35 +270,10 @@ PlaceOutcome placeComponent(PlacementProblem problem,
     stage = SolveStage::kSolve;
     t0 = std::chrono::steady_clock::now();
     solver::OptResult result;
-    bool greedyWon = false;
     {
       obs::Span solveSpan("place.solve");
       solveSpan.arg("model_vars", outcome.modelVars);
-      if (options.portfolio) {
-        RaceOutcome race = racePortfolio(problem, encoder, options);
-        raceRan = true;
-        outcome.portfolioWinner = race.winner;
-        if (race.winner >= 0) {
-          outcome.rung = race.rung;
-          if (race.greedyWinner) {
-            greedyWon = true;
-            outcome.placement = std::move(race.greedy.placement);
-            result.status = solver::OptStatus::kFeasible;
-            result.objective = race.greedy.totalRules;
-          } else {
-            result = std::move(race.result);
-            if (race.rung == PlaceRung::kSatOnly && !options.satisfiabilityOnly &&
-                result.status == solver::OptStatus::kOptimal) {
-              // The sat-only racer's SAT verdict carries no optimality claim
-              // for the *objective* — same downgrade as the ladder's rung 2.
-              result.status = solver::OptStatus::kFeasible;
-            }
-          }
-        } else {
-          result.status = race.failStatus;
-        }
-        result.stats = race.stats;
-      } else if (options.satisfiabilityOnly) {
+      if (options.satisfiabilityOnly) {
         result = solver::Optimizer::solveSat(encoder.model(), options.budget);
       } else if (options.useIngressHint) {
         result = solver::Optimizer::solveWithHint(
@@ -504,7 +287,7 @@ PlaceOutcome placeComponent(PlacementProblem problem,
     outcome.objective = result.objective;
     outcome.solverStats = result.stats;
 
-    if (result.hasSolution() && !greedyWon) {
+    if (result.hasSolution()) {
       stage = SolveStage::kExtract;
       obs::Span extractSpan("place.extract");
       outcome.placement = extractPlacement(
@@ -543,9 +326,8 @@ PlaceOutcome placeComponent(PlacementProblem problem,
       outcome.status != solver::OptStatus::kInfeasible) {
     // Rung 2: satisfiability-only on the model we already built.  Skipped
     // when the encoder never finished or the wall deadline is gone — a
-    // fresh CDCL run would only burn time the greedy floor still needs —
-    // and after a portfolio race, whose racers already included this rung.
-    if (encoderOpt.has_value() && !options.satisfiabilityOnly && !raceRan &&
+    // fresh CDCL run would only burn time the greedy floor still needs.
+    if (encoderOpt.has_value() && !options.satisfiabilityOnly &&
         !deadline.expired()) {
       try {
         obs::Span span("place.ladder.sat_only");
@@ -607,7 +389,6 @@ ComponentSolveStats componentStatsOf(const PlaceOutcome& out) {
   std::iota(cs.policyIds.begin(), cs.policyIds.end(), 0);
   cs.rung = out.rung;
   cs.failure = out.failure;
-  cs.portfolioWinner = out.portfolioWinner;
   cs.path = out.fastPathComponents > 0 ? PlacePath::kFastPath
                                        : PlacePath::kSolver;
   return cs;

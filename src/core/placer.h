@@ -88,17 +88,6 @@ struct PlaceOptions {
   /// Seed the search with the greedy "everything at the ingress" phase
   /// hint.
   bool useIngressHint = true;
-  /// Per-component portfolio race (docs/solver.md): diversified solver
-  /// configurations — the requested optimizing solve, a second optimizing
-  /// racer with a different seed and a geometric restart schedule, a
-  /// satisfiability-only racer and the greedy heuristic — race on the same
-  /// encoded model over this component's thread budget.  Arbitration is by
-  /// fixed priority, not wall-clock finish order: the winner is the
-  /// highest-priority racer with a solution, and a racer's success cancels
-  /// only *lower*-priority racers (via their CancelTokens), so under
-  /// conflict budgets the returned placement is bit-identical for every
-  /// `threads` value.
-  bool portfolio = false;
   /// Run complete redundancy removal on every policy first (Fig. 4's
   /// optional first stage).
   bool removeRedundancy = false;
@@ -144,9 +133,6 @@ struct ComponentSolveStats {
   /// Set when the exact pipeline did not produce a solution — even when a
   /// lower rung later rescued the component (attribution survives).
   std::optional<FailureInfo> failure;
-  /// Portfolio race: priority index of the racer whose solution was kept
-  /// (-1 when no race ran or no racer solved).
-  int portfolioWinner = -1;
   /// kFastPath when the certified fast path produced the placement; then
   /// no model was built and encodeSeconds, modelVars and solverStats read 0.
   PlacePath path = PlacePath::kSolver;
@@ -199,10 +185,6 @@ struct PlaceOutcome {
   PlaceRung rung = PlaceRung::kOptimal;
   /// First failure by component order, when any component failed.
   std::optional<FailureInfo> failure;
-  /// Portfolio race (PlaceOptions::portfolio): winning racer's priority
-  /// index for a single-component run; multi-component runs report the
-  /// per-component winners in componentStats instead and leave -1 here.
-  int portfolioWinner = -1;
   /// Components placed by the certified fast path (ComponentSolveStats::
   /// path).  Those contribute the ingress-first placement, its objective
   /// and EncodingStats::requiredRules / objectiveLowerBound, but no model:

@@ -56,7 +56,6 @@ core::PlaceOptions optionsFor(const ModeConfig& mode,
       mode.conflictBudget >= 0 ? mode.conflictBudget : oracle.conflictBudget);
   o.resilience.ladder = mode.ladder;
   o.resilience.partialResults = mode.partial;
-  o.portfolio = mode.portfolio;
   o.threads = jobs;
   return o;
 }
@@ -70,7 +69,6 @@ std::string ModeConfig::toString() const {
   if (ladder) os << " ladder=1";
   if (partial) os << " partial=1";
   if (conflictBudget >= 0) os << " conflicts=" << conflictBudget;
-  if (portfolio) os << " portfolio=1";
   return os.str();
 }
 
@@ -115,8 +113,6 @@ std::optional<ModeConfig> ModeConfig::parse(std::string_view text) {
       } catch (...) {
         return std::nullopt;
       }
-    } else if (key == "portfolio") {
-      mode.portfolio = value == "1";
     } else {
       return std::nullopt;
     }
@@ -184,15 +180,6 @@ std::vector<ModeConfig> modeMatrix(const FuzzCase& fc) {
     ModeConfig m;
     m.ladder = true;
     m.merge = true;
-    add(m);
-  }
-  {
-    // Portfolio race: priority arbitration must keep the jobs sweep
-    // bit-identical even though racers run concurrently.
-    ModeConfig m;
-    m.portfolio = true;
-    add(m);
-    m.satOnly = true;
     add(m);
   }
   if (n >= 2) {
@@ -524,7 +511,7 @@ void checkStatusAgreement(const FuzzCase& fc, const ModeConfig& mode,
 /// too.
 void checkFastPath(const ModeConfig& mode, const OracleOptions& options,
                    const core::PlaceOutcome& ref, OracleReport& report) {
-  if (mode.satOnly || mode.merge || mode.portfolio) return;
+  if (mode.satOnly || mode.merge) return;
   const core::PlacementProblem& solved = ref.solvedProblem;
   core::EncoderOptions enc;
   enc.enablePathSlicing = mode.slice;

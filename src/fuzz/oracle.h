@@ -53,10 +53,6 @@ struct ModeConfig {
   /// every exact solve fail immediately, forcing the ladder to its floor —
   /// the deterministic way to fuzz degraded placements.
   std::int64_t conflictBudget = -1;
-  /// Race diversified solver configurations per component
-  /// (PlaceOptions::portfolio).  The jobs sweep must still be bit-identical
-  /// — the race's priority arbitration, not wall-clock, picks the winner.
-  bool portfolio = false;
 
   bool incremental() const noexcept { return basePolicies > 0; }
 

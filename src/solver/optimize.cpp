@@ -285,15 +285,9 @@ OptResult Optimizer::solveWithHint(
   return run(model, model.hasObjective(), &hint, budget);
 }
 
-OptResult Optimizer::solveConfigured(
-    const Model& model, const Solver::Config& cfg, bool useObjective,
-    const std::vector<std::pair<ModelVar, bool>>* hint, const Budget& budget) {
-  return run(model, useObjective && model.hasObjective(), hint, budget, &cfg);
-}
-
 OptResult Optimizer::run(const Model& model, bool useObjective,
                          const std::vector<std::pair<ModelVar, bool>>* hint,
-                         const Budget& budgetIn, const Solver::Config* cfg) {
+                         const Budget& budgetIn) {
   // Canonicalize once at the API boundary: any negative limit means
   // unlimited (mapped to the -1 sentinel), maxSeconds == 0 means the
   // budget is already spent (see Budget in types.h).
@@ -318,7 +312,6 @@ OptResult Optimizer::run(const Model& model, bool useObjective,
   };
   const std::unique_ptr<Solver, decltype(teardown)> owned(new Solver, teardown);
   Solver& solver = *owned;
-  if (cfg != nullptr) solver.setConfig(*cfg);
   // The budget bounds the WHOLE optimization, not each strengthening
   // iteration: both resources are threaded through the loop.  Elapsed
   // wall time and consumed conflicts (solver.stats().conflicts counts

@@ -66,20 +66,10 @@ class Optimizer {
       const Model& model, const std::vector<std::pair<ModelVar, bool>>& hint,
       const Budget& budget = Budget::unlimited());
 
-  /// Solve with an explicit solver configuration — the portfolio race runs
-  /// several of these with diversified seeds / restart schedules over the
-  /// same model.  `useObjective == false` gives a sat-only racer; `hint`
-  /// (optional) seeds phases like solveWithHint.
-  static OptResult solveConfigured(
-      const Model& model, const Solver::Config& cfg, bool useObjective,
-      const std::vector<std::pair<ModelVar, bool>>* hint = nullptr,
-      const Budget& budget = Budget::unlimited());
-
  private:
   static OptResult run(const Model& model, bool useObjective,
                        const std::vector<std::pair<ModelVar, bool>>* hint,
-                       const Budget& budget,
-                       const Solver::Config* cfg = nullptr);
+                       const Budget& budget);
 };
 
 /// Lower one model row into the solver: the one normalize-and-gate routine

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -13,6 +12,7 @@ namespace ruleplace::solver {
 
 namespace {
 constexpr double kActivityRescale = 1e100;
+constexpr std::int64_t kRestartBase = 128;  ///< Luby unit, in conflicts
 }  // namespace
 
 std::int64_t luby(std::int64_t i) {
@@ -33,16 +33,6 @@ std::int64_t luby(std::int64_t i) {
 }
 
 Solver::Solver() = default;
-
-void Solver::setConfig(const Config& cfg) {
-  cfg_ = cfg;
-  // Splitmix-style scramble so nearby seeds give unrelated streams.
-  std::uint64_t z = cfg.seed + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  rngState_ = z ^ (z >> 31);
-  if (rngState_ == 0) rngState_ = 0x9e3779b97f4a7c15ull;
-}
 
 Var Solver::newVars(int n) {
   const Var first = static_cast<Var>(assigns_.size());
@@ -777,13 +767,7 @@ Lit Solver::pickBranchLit() {
   while (!heap_.empty()) {
     Var v = heapPop();
     if (value(v) == LBool::kUndef) {
-      bool phase = polarity_[static_cast<std::size_t>(v)];
-      if (cfg_.randomPolarityFreq > 0.0 &&
-          static_cast<double>(nextRand() >> 11) * 0x1.0p-53 <
-              cfg_.randomPolarityFreq) {
-        phase = (nextRand() & 1) != 0;
-      }
-      return Lit(v, !phase);
+      return Lit(v, !polarity_[static_cast<std::size_t>(v)]);
     }
   }
   return Lit::undef();
@@ -907,15 +891,7 @@ SolveStatus Solver::solve(const std::vector<Lit>& assumptions,
   std::vector<Lit> conflict;
   std::vector<Lit> learnt;
   std::int64_t conflictsThisRestart = 0;
-  auto restartLimitFor = [&](std::int64_t cycle) {
-    if (!cfg_.geometricRestarts) return cfg_.restartBase * luby(cycle);
-    double limit = static_cast<double>(cfg_.restartBase) *
-                   std::pow(1.5, static_cast<double>(std::min<std::int64_t>(
-                                     cycle, 96)));
-    return static_cast<std::int64_t>(
-        std::min(limit, 1e15));  // clamp well inside int64
-  };
-  std::int64_t restartLimit = restartLimitFor(restartCycle_);
+  std::int64_t restartLimit = kRestartBase * luby(restartCycle_);
 
   while (true) {
     if (!propagate(conflict)) {
@@ -978,7 +954,7 @@ SolveStatus Solver::solve(const std::vector<Lit>& assumptions,
       ++stats_.restarts;
       ++restartCycle_;
       conflictsThisRestart = 0;
-      restartLimit = restartLimitFor(restartCycle_);
+      restartLimit = kRestartBase * luby(restartCycle_);
       cancelUntil(0);
       if (timedOut()) return SolveStatus::kUnknown;
       continue;

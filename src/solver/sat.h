@@ -32,22 +32,7 @@ namespace ruleplace::solver {
 
 class Solver {
  public:
-  /// Search-heuristic knobs.  Defaults reproduce the historical behaviour;
-  /// the portfolio race instantiates diversified configurations (different
-  /// seeds, restart schedules, random-phase rates) over the same encoding.
-  struct Config {
-    std::uint64_t seed = 0;            ///< diversification seed (0 = none)
-    std::int64_t restartBase = 128;    ///< conflicts before the first restart
-    bool geometricRestarts = false;    ///< geometric (×1.5) instead of Luby
-    double randomPolarityFreq = 0.0;   ///< chance a decision ignores the
-                                       ///< saved phase ([0, 1])
-  };
-
   Solver();
-
-  /// Install heuristic knobs.  Call before the first solve(); the seed
-  /// re-seeds the diversification RNG immediately.
-  void setConfig(const Config& cfg);
 
   /// Create a fresh variable; returns its index (dense from 0).
   Var newVar() { return newVars(1); }
@@ -195,8 +180,6 @@ class Solver {
   std::int64_t restartCycle_ = 0;
   std::int64_t reduceLimit_ = 4000;
 
-  Config cfg_;
-  std::uint64_t rngState_ = 0x9e3779b97f4a7c15ull;
   std::vector<Lit> unsatCore_;
 
   // ---- helpers ------------------------------------------------------------
@@ -263,13 +246,6 @@ class Solver {
   // per conflict) — feeds the reduceDB ranking alongside LBD.
   void claBump(Clause& c);
   void claDecay() { claInc_ *= (1.0 / 0.999); }
-
-  std::uint64_t nextRand() noexcept {
-    rngState_ ^= rngState_ << 13;
-    rngState_ ^= rngState_ >> 7;
-    rngState_ ^= rngState_ << 17;
-    return rngState_;
-  }
 
   std::vector<bool> model_;
 };

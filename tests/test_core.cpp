@@ -643,7 +643,6 @@ TEST(FastPath, NeverCertifiesOutsideItsClass) {
          o.encoder.monitors.push_back({2, T("0000")});
        }},
       {"sat-only", [](PlaceOptions& o) { o.satisfiabilityOnly = true; }},
-      {"portfolio", [](PlaceOptions& o) { o.portfolio = true; }},
       {"no ingress hint", [](PlaceOptions& o) { o.useIngressHint = false; }},
       {"upstream traffic",
        [](PlaceOptions& o) {

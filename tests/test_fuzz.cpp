@@ -117,27 +117,6 @@ TEST(FuzzOracle, IncrementalSessionDifferentialRunsClean) {
                                  "persistent-session differential";
 }
 
-// Portfolio modes ride the standard jobs sweep: the race's priority
-// arbitration (not wall-clock) picks the winner, so placements must stay
-// bit-identical across thread counts.
-TEST(FuzzOracle, PortfolioModesAreCleanAcrossJobsSweep) {
-  OracleOptions opts = fastOracle();
-  opts.jobsSweep = {1, 2, 4};
-  std::int64_t portfolioModes = 0;
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    FuzzCase fc = generateCase(seed);
-    for (const ModeConfig& mode : modeMatrix(fc)) {
-      if (!mode.portfolio) continue;
-      ++portfolioModes;
-      OracleReport report = checkCase(fc, mode, opts);
-      EXPECT_TRUE(report.ok())
-          << "seed " << seed << " mode " << mode.toString() << ":\n"
-          << report.summary();
-    }
-  }
-  EXPECT_GT(portfolioModes, 0);
-}
-
 TEST(FuzzOracle, CleanCasesProduceNoViolations) {
   const OracleOptions opts = fastOracle();
   for (std::uint64_t seed = 0; seed < 6; ++seed) {

@@ -1,15 +1,13 @@
 // Assumption-based incremental solving (docs/solver.md "Solving under
 // assumptions"): solve-under-assumptions and unsat cores, clause reuse
-// across calls, the IncrementalSession churn API, the portfolio race —
-// plus regression tests for the solver re-entry bugs this work uncovered
-// (VSIDS heap var leak, restart-cycle and reduceDB-threshold reset on
-// every solve() call).
+// across calls and the IncrementalSession churn API — plus regression tests
+// for the solver re-entry bugs this work uncovered (VSIDS heap var leak,
+// restart-cycle and reduceDB-threshold reset on every solve() call).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <random>
 #include <vector>
 
@@ -270,7 +268,7 @@ TEST(PBOverflow, ObjectiveBoundWithLargeWeightsStillOptimizes) {
 }  // namespace
 }  // namespace ruleplace::solver
 
-// ---- core layer: IncrementalSession and the portfolio race ----------------
+// ---- core layer: IncrementalSession ---------------------------------------
 
 namespace ruleplace::core {
 namespace {
@@ -345,6 +343,10 @@ TEST(IncrementalSession, InstallMatchesScratchSolve) {
   EXPECT_EQ(out.objective, ref.objective);
 }
 
+// Every committed event also checks the session contract: the outcome is
+// the rung's own place() result and verifies against its own subproblem,
+// the combined deployment is read from the session, and the one-event
+// installPolicies / reroutePolicies return exactly that deployment.
 TEST(IncrementalSession, ChurnSequenceStaysVerifiedAndReusesTheSolver) {
   Line net(4, 5);
   PlacementProblem base;
@@ -354,21 +356,44 @@ TEST(IncrementalSession, ChurnSequenceStaysVerifiedAndReusesTheSolver) {
   const char* permits[] = {"1010", "0101", "1100", "0011", "1001"};
   const char* drops[] = {"10**", "01**", "11**", "00**", "1**1"};
   for (int i = 0; i < 5; ++i) {
-    PlaceOutcome out = session.install({net.routeFrom(net.sw[0])},
-                                       {twoRulePolicy(permits[i], drops[i])});
+    const PlacementProblem before = session.problem();
+    const Placement deployed = session.placement();
+    const std::vector<topo::IngressPaths> routing{net.routeFrom(net.sw[0])};
+    const std::vector<acl::Policy> policies{
+        twoRulePolicy(permits[i], drops[i])};
+    PlaceOutcome out = session.install(routing, policies);
     ASSERT_TRUE(out.hasSolution()) << "install " << i;
+    EXPECT_EQ(out.solvedProblem.policyCount(), 1) << "install " << i;
+    EXPECT_TRUE(verifyPlacement(out.solvedProblem, out.placement))
+        << "install " << i;
     EXPECT_TRUE(verifyPlacement(session.problem(), session.placement()))
         << "install " << i;
+    const PlaceOutcome oneEvent =
+        installPolicies(before, deployed, routing, policies);
+    ASSERT_TRUE(oneEvent.hasSolution()) << "install " << i;
+    EXPECT_TRUE(oneEvent.placement == session.placement()) << "install " << i;
+    EXPECT_EQ(oneEvent.solvedProblem.policyCount(),
+              session.problem().policyCount());
   }
   EXPECT_EQ(session.events(), 5);
   EXPECT_EQ(session.problem().policyCount(), 5);
+  EXPECT_EQ(session.repacks(), 0);
 
   // Reroute policy 2 to start mid-line; the freed capacity must be
   // reusable and the result verify.
-  PlaceOutcome out = session.reroute({2}, {net.routeFrom(net.sw[1])});
+  const PlacementProblem before = session.problem();
+  const Placement deployed = session.placement();
+  const std::vector<topo::IngressPaths> routing{net.routeFrom(net.sw[1])};
+  PlaceOutcome out = session.reroute({2}, routing);
   ASSERT_TRUE(out.hasSolution());
+  EXPECT_EQ(out.solvedProblem.policyCount(), 1);
+  EXPECT_TRUE(verifyPlacement(out.solvedProblem, out.placement));
   EXPECT_TRUE(verifyPlacement(session.problem(), session.placement()));
   EXPECT_EQ(session.events(), 6);
+  const PlaceOutcome oneEvent = reroutePolicies(before, deployed, {2}, routing);
+  ASSERT_TRUE(oneEvent.hasSolution());
+  EXPECT_TRUE(oneEvent.placement == session.placement());
+  EXPECT_TRUE(verifyPlacement(oneEvent.solvedProblem, oneEvent.placement));
 }
 
 TEST(IncrementalSession, FailedInstallRollsBackExactly) {
@@ -663,79 +688,6 @@ TEST(IncrementalSession, BackToBackRollbacksLeaveNoTrace) {
               replay.placement().usedCapacity(sw))
         << "switch " << sw;
   }
-}
-
-// ---- portfolio race -------------------------------------------------------
-
-PlacementProblem mediumProblem(Line& net, int policies) {
-  PlacementProblem p;
-  p.graph = &net.graph;
-  const char* permits[] = {"1010", "0101", "1100", "0011"};
-  const char* drops[] = {"10**", "01**", "11**", "00**"};
-  for (int i = 0; i < policies; ++i) {
-    p.routing.push_back(net.routeFrom(net.sw[0]));
-    p.policies.push_back(twoRulePolicy(permits[i % 4], drops[i % 4]));
-  }
-  return p;
-}
-
-TEST(PortfolioRace, DeterministicAcrossThreadCounts) {
-  Line net(3, 8);
-  PlacementProblem p = mediumProblem(net, 4);
-  PlaceOptions opts;
-  opts.portfolio = true;
-  opts.budget = solver::Budget::conflicts(500000);
-
-  std::optional<PlaceOutcome> ref;
-  for (int threads : {1, 2, 4}) {
-    PlaceOptions o = opts;
-    o.threads = threads;
-    PlaceOutcome out = place(p, o);
-    ASSERT_TRUE(out.hasSolution()) << "threads " << threads;
-    EXPECT_TRUE(verifyPlacement(out.solvedProblem, out.placement));
-    if (!ref.has_value()) {
-      ref = std::move(out);
-      continue;
-    }
-    EXPECT_EQ(out.status, ref->status) << "threads " << threads;
-    EXPECT_EQ(out.objective, ref->objective) << "threads " << threads;
-    EXPECT_EQ(out.placement.totalInstalledRules(),
-              ref->placement.totalInstalledRules());
-  }
-}
-
-TEST(PortfolioRace, ReportsAWinnerAndMatchesPlainSolve) {
-  Line net(3, 8);
-  PlacementProblem p = mediumProblem(net, 3);
-  PlaceOptions plain;
-  PlaceOutcome ref = place(p, plain);
-  ASSERT_EQ(ref.status, solver::OptStatus::kOptimal);
-
-  PlaceOptions raced;
-  raced.portfolio = true;
-  raced.threads = 4;
-  PlaceOutcome out = place(p, raced);
-  ASSERT_TRUE(out.hasSolution());
-  EXPECT_EQ(out.objective, ref.objective);
-  // Some racer won, and the winner survives into the component stats.
-  ASSERT_FALSE(out.componentStats.empty());
-  bool sawWinner = false;
-  for (const auto& cs : out.componentStats) {
-    sawWinner |= cs.portfolioWinner >= 0;
-  }
-  EXPECT_TRUE(sawWinner);
-}
-
-TEST(PortfolioRace, SatOnlyModeRaces) {
-  Line net(3, 8);
-  PlacementProblem p = mediumProblem(net, 3);
-  PlaceOptions o;
-  o.portfolio = true;
-  o.satisfiabilityOnly = true;
-  o.threads = 2;
-  PlaceOutcome out = place(p, o);
-  ASSERT_TRUE(out.hasSolution());
-  EXPECT_TRUE(verifyPlacement(out.solvedProblem, out.placement));
 }
 
 }  // namespace

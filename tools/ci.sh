@@ -11,8 +11,9 @@
 #                          process
 #   tools/ci.sh --san      additionally build the asan-ubsan and tsan
 #                          presets and run the solver + parallel-engine +
-#                          fuzz tests under each (the suites that exercise
-#                          raw pointer juggling and the thread pool)
+#                          fuzz + incremental-session tests under each (the
+#                          suites that exercise raw pointer juggling, the
+#                          thread pool and the session's moves and copies)
 #
 # Presets live in CMakePresets.json; sanitizer builds keep assert() live
 # (Debug + -O1), unlike the default RelWithDebInfo build.  Test labels
@@ -22,25 +23,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Note: a bare -j (cmake --build, ctest) means "no limit" to make and
+# greedily consumes the next token in ctest, so always give it a value.
+jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+
 run_sanitized() {
   local preset="$1" builddir="$2"
   echo "=== ${preset} ==="
   cmake --preset "${preset}"
-  cmake --build --preset "${preset}" -j \
+  cmake --build --preset "${preset}" -j "${jobs}" \
     --target test_solver --target test_solver_pb --target test_parallel \
-    --target test_fuzz
-  for t in test_solver test_solver_pb test_parallel test_fuzz; do
+    --target test_fuzz --target test_solver_incremental
+  for t in test_solver test_solver_pb test_parallel test_fuzz \
+           test_solver_incremental; do
     "./${builddir}/tests/${t}"
   done
 }
 
 echo "=== default ==="
 cmake --preset default
-cmake --build --preset default -j
-
-# Note: ctest's bare -j greedily consumes the next token, so always give
-# it an explicit value when more flags follow.
-jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+cmake --build --preset default -j "${jobs}"
 
 if [[ "${1:-}" == "--quick" ]]; then
   ctest --preset default -j "${jobs}" -L 'unit|robustness'

@@ -25,10 +25,6 @@
 //     --jobs N           worker threads for independent coupling
 //                        components (0 = hardware concurrency; results
 //                        are identical for every value)
-//     --portfolio        race diversified solver configurations per
-//                        component (optimizing / diversified / sat-only /
-//                        greedy); deterministic — priority, not
-//                        wall-clock, picks the winner (docs/solver.md)
 //     --naive-depgraph   build dependency graphs with the reference O(n²)
 //                        scan instead of the overlap index (bit-identical
 //                        results, for timing/debugging)
@@ -71,7 +67,7 @@ int usage(const char* argv0) {
                "          [--remove-redundant] [--budget <seconds>]\n"
                "          [--time-limit <seconds>] [--ladder] [--partial]\n"
                "          [--explain-infeasible]\n"
-               "          [--jobs <threads>] [--portfolio]\n"
+               "          [--jobs <threads>]\n"
                "          [--no-verify] [--quiet]\n"
                "          [--naive-depgraph] [--no-depgraph-cache]\n"
                "          [--trace-json <file>] [--metrics]\n",
@@ -151,8 +147,6 @@ int main(int argc, char** argv) {
       explainInfeasible = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
       options.threads = std::atoi(argv[++i]);
-    } else if (arg == "--portfolio") {
-      options.portfolio = true;
     } else if (arg == "--naive-depgraph") {
       options.encoder.depgraph.builder = depgraph::BuilderKind::kNaive;
     } else if (arg == "--no-depgraph-cache") {
