@@ -226,10 +226,7 @@ PlaceOutcome IncrementalSession::apply(Event event) {
   obs::Span fullSpan("incremental.session.escalate");
   PlacementProblem full = combined_;
   moveInto(event, full);
-  PlaceOptions escalation = options_;
-  escalation.observability = false;
-  escalation.budget = eventBudget();
-  out = place(std::move(full), escalation);
+  out = placeAll(std::move(full));
   out.escalatedFullResolve = true;
   if (out.hasSolution()) {
     ++escalations_;
@@ -237,12 +234,67 @@ PlaceOutcome IncrementalSession::apply(Event event) {
     if (obs::enabled()) {
       obs::Registry::global().counter("incremental.session.escalations").add(1);
     }
-    combined_ = out.solvedProblem;
-    basePlacement_ = out.placement;
-    placement_ = out.placement;
-    sessionPlaced_.assign(static_cast<std::size_t>(combined_.policyCount()), 0);
   }
   return out;
+}
+
+PlaceOutcome IncrementalSession::placeAll(PlacementProblem full) {
+  PlaceOptions opts = options_;
+  opts.observability = false;
+  opts.budget = eventBudget();
+  PlaceOutcome out = place(std::move(full), opts);
+  if (out.hasSolution()) {
+    combined_ = out.solvedProblem;
+    placement_ = out.placement;
+    rebase();
+  }
+  return out;
+}
+
+void IncrementalSession::rebase() {
+  basePlacement_ = placement_;
+  sessionPlaced_.assign(static_cast<std::size_t>(combined_.policyCount()), 0);
+}
+
+void IncrementalSession::uninstall(const std::vector<int>& policyIds) {
+  // tagMap[old id] = new id, or -1 for a retracted policy.
+  std::vector<int> tagMap(combined_.policies.size(), 0);
+  for (int id : policyIds) tagMap.at(static_cast<std::size_t>(id)) = -1;
+  std::size_t kept = 0;
+  for (std::size_t id = 0; id < tagMap.size(); ++id) {
+    if (tagMap[id] < 0) continue;
+    tagMap[id] = static_cast<int>(kept);
+    if (kept != id) {
+      combined_.routing[kept] = std::move(combined_.routing[id]);
+      combined_.policies[kept] = std::move(combined_.policies[id]);
+      sessionPlaced_[kept] = sessionPlaced_[id];
+    }
+    ++kept;
+  }
+  combined_.routing.resize(kept);
+  combined_.policies.resize(kept);
+  sessionPlaced_.resize(kept);
+  basePlacement_.remapTags(tagMap);
+  placement_.remapTags(tagMap);
+}
+
+std::optional<PlaceOutcome> IncrementalSession::setCapacity(
+    topo::SwitchId sw, int capacity) {
+  std::vector<int> caps(static_cast<std::size_t>(combined_.graph->switchCount()));
+  for (topo::SwitchId s = 0; s < combined_.graph->switchCount(); ++s) {
+    caps[static_cast<std::size_t>(s)] = combined_.capacityOf(s);
+  }
+  caps.at(static_cast<std::size_t>(sw)) = capacity;
+  if (placement_.usedCapacity(sw) <= capacity) {
+    combined_.capacityOverride = std::move(caps);
+    rebase();
+    return std::nullopt;
+  }
+  // The shrink strands the deployment over capacity: re-place everything
+  // under the new limits before accepting it.
+  PlacementProblem full = combined_;
+  full.capacityOverride = std::move(caps);
+  return placeAll(std::move(full));
 }
 
 PlaceOutcome IncrementalSession::install(

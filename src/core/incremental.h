@@ -21,6 +21,7 @@
 // escalatedFullResolve set and its placement replaces — rather than
 // extends — the deployment.
 
+#include <optional>
 #include <vector>
 
 #include "core/placement.h"
@@ -74,6 +75,9 @@ PlaceOutcome reroutePolicies(const PlacementProblem& problem,
 ///      becomes the new base (the outcome's escalatedFullResolve is set).
 /// Rungs 1 and 2 share one event budget; an escalation gets a fresh one.
 ///
+/// Between events, uninstall(), setCapacity() and rebase() change the
+/// deployment in place; none resets the counters.
+///
 /// Every outcome is the last rung's own place() result: its placement and
 /// solvedProblem cover that rung's subproblem (the event's policies; plus
 /// the repacked ones for a repack; the whole combined problem for an
@@ -106,6 +110,21 @@ class IncrementalSession {
   /// `newRouting[i]` replaces the routing of `policyIds[i]`.
   PlaceOutcome reroute(const std::vector<int>& policyIds,
                        std::vector<topo::IngressPaths> newRouting);
+
+  /// Retract policies (ids into problem(), else std::out_of_range).  No
+  /// solve: their entries go, and the other policies keep their order
+  /// under compacted ids, tags and priorities renumbered.
+  void uninstall(const std::vector<int>& policyIds);
+
+  /// Make the current deployment the fixed base: later repacks may move
+  /// only what the session places from now on.
+  void rebase();
+
+  /// Set switch `sw`'s capacity.  When the deployment fits, rebase and
+  /// return nullopt.  Otherwise re-place the whole problem on a fresh
+  /// event budget, adopt a success as the new base the way an escalation
+  /// does, and return the outcome; a failure changes nothing.
+  std::optional<PlaceOutcome> setCapacity(topo::SwitchId sw, int capacity);
 
   /// The combined problem / deployment after the last committed event.
   const PlacementProblem& problem() const noexcept { return combined_; }
@@ -142,6 +161,9 @@ class IncrementalSession {
   /// Apply the event to `problem` (the combined one or a copy), moving
   /// its routing and policies out.
   static void moveInto(Event& event, PlacementProblem& problem);
+  /// place() the whole of `full` from scratch (configured merging, fresh
+  /// event budget) and on success adopt it as the new base deployment.
+  PlaceOutcome placeAll(PlacementProblem full);
   /// Adopt a rung's result: `placed` covers the policies `placedIds`
   /// (tags in that order); `repacked` says it replaces every
   /// session-placed entry rather than adding to the deployment.

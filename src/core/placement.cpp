@@ -57,6 +57,20 @@ void Placement::erasePolicies(const std::vector<int>& sortedPolicyIds) {
   }
 }
 
+void Placement::remapTags(const std::vector<int>& tagMap) {
+  for (auto& table : tables_) {
+    for (auto& entry : table) {
+      for (int& t : entry.tags) t = tagMap.at(static_cast<std::size_t>(t));
+      std::erase(entry.tags, -1);
+      std::sort(entry.tags.begin(), entry.tags.end());
+    }
+    std::erase_if(table,
+                  [](const InstalledRule& r) { return r.tags.empty(); });
+    int prio = static_cast<int>(table.size());
+    for (auto& r : table) r.priority = prio--;
+  }
+}
+
 std::string Placement::toString(const PlacementProblem& problem) const {
   std::ostringstream os;
   for (int sw = 0; sw < switchCount(); ++sw) {

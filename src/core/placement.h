@@ -92,6 +92,11 @@ class Placement {
   /// erasePolicy() for every id in `sortedPolicyIds`, in one pass.
   void erasePolicies(const std::vector<int>& sortedPolicyIds);
 
+  /// Rewrite every entry's tags through `tagMap` in place, dropping tags
+  /// mapped to -1 and the entries left with none, and renumber priorities:
+  /// what appendMapped() onto an empty placement gives, without the copy.
+  void remapTags(const std::vector<int>& tagMap);
+
   std::string toString(const PlacementProblem& problem) const;
 
   /// Bit-identical placement equality: same switches, same tables, same

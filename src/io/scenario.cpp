@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "match/tuple5.h"
 
@@ -207,8 +208,17 @@ std::string formatScenario(const core::PlacementProblem& problem) {
     os << "port " << port.name << " switch "
        << g.sw(port.attachedSwitch).name << '\n';
   }
+  // The format keys each policy by its ingress port: a second policy on
+  // the same port would not read back.
+  std::vector<char> hasPolicy(g.entryPorts().size(), 0);
   for (std::size_t i = 0; i < problem.routing.size(); ++i) {
     const auto& ip = problem.routing[i];
+    if (std::exchange(hasPolicy.at(static_cast<std::size_t>(ip.ingress)), 1)) {
+      throw std::invalid_argument(
+          "formatScenario: two policies share ingress port '" +
+          g.entryPort(ip.ingress).name +
+          "'; a scenario holds one policy per ingress port");
+    }
     for (const auto& path : ip.paths) {
       os << "path " << g.entryPort(path.ingress).name << ' '
          << g.entryPort(path.egress).name << " via";

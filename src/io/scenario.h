@@ -55,7 +55,8 @@ void loadScenarioFile(const std::string& path, Scenario& out);
 
 /// Render a problem back to scenario text (round-trips via parseScenario;
 /// traffic descriptors render as `traffic-dst` when they are dst-prefix
-/// cubes, and are rejected otherwise).
+/// cubes, and are rejected otherwise).  Throws std::invalid_argument when
+/// two policies share an ingress port, which the format cannot hold.
 std::string formatScenario(const core::PlacementProblem& problem);
 
 }  // namespace ruleplace::io

@@ -83,47 +83,33 @@ Daemon::Daemon(const io::Scenario& scenario, DaemonOptions options)
 
   // Partition the base policies over the shards by ingress port.
   const int nShards = options_.shards;
-  const auto shardOf = [nShards](topo::PortId p) {
-    return static_cast<int>(p % nShards);
-  };
-  std::vector<std::vector<int>> members(static_cast<std::size_t>(nShards));
+  std::vector<SnapshotShard> slices(static_cast<std::size_t>(nShards));
   gids_.resize(scenario.policies.size());
   for (std::size_t i = 0; i < scenario.policies.size(); ++i) {
     const topo::PortId ingress = scenario.routing[i].ingress;
-    const int s = shardOf(ingress);
+    const int s = static_cast<int>(ingress % nShards);
     gids_[i] = {s, ingress};
-    members[static_cast<std::size_t>(s)].push_back(static_cast<int>(i));
+    slices[static_cast<std::size_t>(s)].localToGlobal.push_back(
+        static_cast<int>(i));
   }
 
-  // Capacity shares: each shard keeps its base usage plus an even split of
-  // the network-wide spare, so Σ shares == real capacity per switch.
-  std::vector<std::vector<int>> shares(
-      static_cast<std::size_t>(nShards),
-      std::vector<int>(static_cast<std::size_t>(switchCount), 0));
-  Shard::Config shardCfg;
-  shardCfg.maxBatch = options_.maxBatch;
-  shardCfg.rebaseEvents = options_.rebaseEvents;
-  shardCfg.overloadBatchAt =
-      options_.maxQueue > 0 ? options_.maxQueue / 2 : 0;
-  shardCfg.sessionOptions = sessionOptionsFor(options_);
-
-  for (int s = 0; s < nShards; ++s) {
-    const auto& mine = members[static_cast<std::size_t>(s)];
-    std::vector<int> localToGlobal(mine.begin(), mine.end());
+  // Each shard's slice of the base placement (tags remapped to local ids)
+  // and its capacity share: its base usage plus an even split of the
+  // network-wide spare, so Σ shares == real capacity per switch (with one
+  // shard, the share is the real capacity).
+  for (SnapshotShard& slice : slices) {
+    const std::vector<int>& mine = slice.localToGlobal;
     std::vector<int> globalToLocal(scenario.policies.size(), -1);
     for (std::size_t l = 0; l < mine.size(); ++l) {
       globalToLocal[static_cast<std::size_t>(mine[l])] = static_cast<int>(l);
     }
-    std::vector<topo::IngressPaths> routing;
-    std::vector<acl::Policy> policies;
     for (int g : mine) {
-      routing.push_back(scenario.routing[static_cast<std::size_t>(g)]);
-      policies.push_back(scenario.policies[static_cast<std::size_t>(g)]);
+      slice.routing.push_back(scenario.routing[static_cast<std::size_t>(g)]);
+      slice.policies.push_back(scenario.policies[static_cast<std::size_t>(g)]);
     }
-    // This shard's slice of the base placement, tags remapped to local ids.
-    core::Placement shardBase(switchCount);
+    slice.placement = core::Placement(switchCount);
     for (topo::SwitchId sw = 0; sw < switchCount; ++sw) {
-      auto& table = shardBase.mutableTable(sw);
+      auto& table = slice.placement.mutableTable(sw);
       for (const core::InstalledRule& r : base_.table(sw)) {
         // Merging is off, so every entry carries exactly one tag.
         const int local = globalToLocal[static_cast<std::size_t>(r.tags[0])];
@@ -133,57 +119,25 @@ Daemon::Daemon(const io::Scenario& scenario, DaemonOptions options)
         table.push_back(std::move(copy));
       }
     }
-    shards_.emplace_back(std::make_unique<Shard>(
-        scenario.graph, std::move(routing), std::move(policies),
-        std::move(shardBase), std::vector<int>(), std::move(localToGlobal),
-        shardCfg));
   }
-  // Fill the capacity shares now that per-shard base usage is known.
   for (topo::SwitchId sw = 0; sw < switchCount; ++sw) {
     const int spare = scenario.graph.sw(sw).capacity - base_.usedCapacity(sw);
     if (spare < 0) {
       throw std::runtime_error("serve: base placement exceeds capacity");
     }
     for (int s = 0; s < nShards; ++s) {
-      const int extra =
-          spare / nShards + (s < spare % nShards ? 1 : 0);
-      shares[static_cast<std::size_t>(s)][static_cast<std::size_t>(sw)] =
-          shards_[static_cast<std::size_t>(s)]
-              ->snapshot()
-              ->placement.usedCapacity(sw) +
-          extra;
+      SnapshotShard& slice = slices[static_cast<std::size_t>(s)];
+      slice.capacityShare.push_back(slice.placement.usedCapacity(sw) +
+                                    spare / nShards +
+                                    (s < spare % nShards ? 1 : 0));
     }
-  }
-  // Rebuild the shards with their capacity shares (the first construction
-  // above used an empty override, i.e. full graph capacity — only safe
-  // before any event flows, which is the case here).
-  if (nShards > 1) {
-    std::vector<std::unique_ptr<Shard>> rebuilt;
-    for (int s = 0; s < nShards; ++s) {
-      auto snap = shards_[static_cast<std::size_t>(s)]->snapshot();
-      rebuilt.emplace_back(std::make_unique<Shard>(
-          scenario.graph, snap->routing, snap->policies, snap->placement,
-          shares[static_cast<std::size_t>(s)], snap->localToGlobal,
-          shardCfg));
-    }
-    shards_ = std::move(rebuilt);
-  } else {
-    // One shard: its share IS the real capacity vector.
-    std::vector<int> caps(static_cast<std::size_t>(switchCount));
-    for (topo::SwitchId sw = 0; sw < switchCount; ++sw) {
-      caps[static_cast<std::size_t>(sw)] = scenario.graph.sw(sw).capacity;
-    }
-    auto snap = shards_[0]->snapshot();
-    shards_[0] = std::make_unique<Shard>(
-        scenario.graph, snap->routing, snap->policies, snap->placement,
-        std::move(caps), snap->localToGlobal, shardCfg);
   }
   shedding_.assign(static_cast<std::size_t>(nShards), 0);
 
-  // Durability: attempt recovery from the journal directory, rebuilding
-  // every shard from the newest usable {snapshot + wal} generation, then
-  // open that generation for writing and re-enqueue the acked-uncommitted
-  // tail through the normal solve path (without re-appending it).
+  // Durability: attempt recovery from the journal directory.  The newest
+  // usable {snapshot + wal} generation replaces the fresh slices; then
+  // that generation opens for writing and the acked-uncommitted tail is
+  // re-enqueued through the normal solve path (without re-appending it).
   std::vector<Event> replay;
   std::vector<int> replayShards;
   if (!options_.journalDir.empty()) {
@@ -192,7 +146,10 @@ Daemon::Daemon(const io::Scenario& scenario, DaemonOptions options)
     jopts.fsync = options_.journalFsync;
     jopts.snapshotEveryEvents = options_.snapshotEveryEvents;
     jopts.vfs = options_.vfs;
-    RecoveredState rec = Journal::recover(jopts, snapshotState());
+    SnapshotState genZero = snapshotState();  // no shards built yet
+    genZero.shards = std::move(slices);
+    RecoveredState rec = Journal::recover(jopts, genZero);
+    slices = std::move(genZero.shards);
     recoveryDiagnostics_ = rec.diagnostics;
     if (rec.hasState) {
       recovered_ = true;
@@ -207,21 +164,14 @@ Daemon::Daemon(const io::Scenario& scenario, DaemonOptions options)
             std::to_string(rec.state.shards.size()) + ", not " +
             std::to_string(nShards));
       }
-      shards_.clear();
-      for (int s = 0; s < nShards; ++s) {
-        SnapshotShard& sh = rec.state.shards[static_cast<std::size_t>(s)];
-        Shard::Config cfg = shardCfg;
-        cfg.initialCommittedSeq = sh.lastCommittedSeq;
+      for (const SnapshotShard& sh : rec.state.shards) {
         for (int g : sh.localToGlobal) {
           if (g >= 0 && static_cast<std::size_t>(g) < gids_.size()) {
             gids_[static_cast<std::size_t>(g)].live = true;
           }
         }
-        shards_.emplace_back(std::make_unique<Shard>(
-            scenario.graph, std::move(sh.routing), std::move(sh.policies),
-            std::move(sh.placement), std::move(sh.capacityShare),
-            std::move(sh.localToGlobal), cfg));
       }
+      slices = std::move(rec.state.shards);
       for (const auto& [seq, gid] : rec.state.installSeqToGid) {
         installSeqToGid_[seq] = gid;
         gidToInstallSeq_[gid] = seq;
@@ -233,6 +183,17 @@ Daemon::Daemon(const io::Scenario& scenario, DaemonOptions options)
         jopts, rec.hasState ? rec.generation : 0, !rec.hasState,
         rec.hasState ? rec.validWalBytes : -1);
     if (rec.hasState) journal_->adoptPending(replay, replayShards);
+  }
+
+  Shard::Config shardCfg;
+  shardCfg.maxBatch = options_.maxBatch;
+  shardCfg.rebaseEvents = options_.rebaseEvents;
+  shardCfg.overloadBatchAt =
+      options_.maxQueue > 0 ? options_.maxQueue / 2 : 0;
+  shardCfg.sessionOptions = sessionOptionsFor(options_);
+  for (SnapshotShard& slice : slices) {
+    shards_.emplace_back(
+        std::make_unique<Shard>(scenario.graph, std::move(slice), shardCfg));
   }
 
   for (auto& shard : shards_) {
@@ -554,15 +515,7 @@ SnapshotState Daemon::snapshotState() const {
   state.installSeqToGid.assign(installSeqToGid_.begin(),
                                installSeqToGid_.end());
   for (const auto& shard : shards_) {
-    const auto snap = shard->snapshot();
-    SnapshotShard sh;
-    sh.routing = snap->routing;
-    sh.policies = snap->policies;
-    sh.localToGlobal = snap->localToGlobal;
-    sh.capacityShare = snap->capacity;
-    sh.placement = snap->placement;
-    sh.lastCommittedSeq = snap->lastCommittedSeq;
-    state.shards.push_back(std::move(sh));
+    state.shards.push_back(*shard->snapshot());
   }
   return state;
 }
@@ -599,7 +552,7 @@ Daemon::Composed Daemon::composeState(bool withPolicies) const {
     out.placement.appendMapped(snap->placement, tagMap);
     for (topo::SwitchId sw = 0; sw < switchCount; ++sw) {
       caps[static_cast<std::size_t>(sw)] +=
-          snap->capacity[static_cast<std::size_t>(sw)];
+          snap->capacityShare[static_cast<std::size_t>(sw)];
     }
     out.version += snap->version;
     if (!snap->lastError.empty()) out.lastError = snap->lastError;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/obs.h"
@@ -26,25 +27,21 @@ std::string outcomeError(const core::PlaceOutcome& out) {
 
 }  // namespace
 
-Shard::Shard(const topo::Graph& graph, std::vector<topo::IngressPaths> routing,
-             std::vector<acl::Policy> policies, core::Placement base,
-             std::vector<int> capacityShare, std::vector<int> localToGlobal,
-             Config config)
+Shard::Shard(const topo::Graph& graph, SnapshotShard state, Config config)
     : graph_(&graph),
       config_(std::move(config)),
-      localToGlobal_(std::move(localToGlobal)),
-      capacityShare_(std::move(capacityShare)) {
-  lastCommittedSeq_ = config_.initialCommittedSeq;
+      localToGlobal_(std::move(state.localToGlobal)),
+      lastCommittedSeq_(state.lastCommittedSeq) {
   for (std::size_t i = 0; i < localToGlobal_.size(); ++i) {
     globalToLocal_.emplace(localToGlobal_[i], static_cast<int>(i));
   }
   core::PlacementProblem problem;
   problem.graph = graph_;
-  problem.routing = std::move(routing);
-  problem.policies = std::move(policies);
-  problem.capacityOverride = capacityShare_;
+  problem.routing = std::move(state.routing);
+  problem.policies = std::move(state.policies);
+  problem.capacityOverride = std::move(state.capacityShare);
   session_ = std::make_unique<core::IncrementalSession>(
-      std::move(problem), std::move(base), config_.sessionOptions);
+      std::move(problem), std::move(state.placement), config_.sessionOptions);
   publish({});
   prevPublished_ = snapshot();
 }
@@ -204,35 +201,19 @@ bool Shard::applyRerouteRun(const std::vector<const Queued*>& run,
 }
 
 bool Shard::applyCapacity(const Queued& q, std::string* error) {
-  const topo::SwitchId sw = q.event.switchId;
-  std::vector<int> caps = capacityShare_;
-  caps[static_cast<std::size_t>(sw)] = q.event.capacity;
-
-  // Rebase the session onto the new capacity vector: a fresh session over
-  // the same committed deployment is the clean cut.
-  core::PlacementProblem problem = session_->problem();
-  problem.capacityOverride = caps;
-  core::Placement placement = session_->placement();
-
-  if (placement.usedCapacity(sw) <= q.event.capacity) {
-    replaceSession(std::make_unique<core::IncrementalSession>(
-        std::move(problem), std::move(placement), config_.sessionOptions));
-  } else {
-    // The shrink strands the current deployment over capacity: re-place the
-    // whole shard under the new limits before accepting the event.
-    core::PlaceOutcome out = core::place(problem, config_.sessionOptions);
-    if (!out.hasSolution()) {
-      *error = "capacity seq " + std::to_string(q.event.seq) + ": switch " +
-               std::to_string(sw) + " cannot shrink to " +
-               std::to_string(q.event.capacity) + " (" + outcomeError(out) +
-               "); capacity unchanged";
-      recordFailed({&q});
-      return false;
-    }
-    replaceSession(std::make_unique<core::IncrementalSession>(
-        out.solvedProblem, out.placement, config_.sessionOptions));
+  // The session rebases onto the new capacity, or re-places the whole
+  // shard first when a shrink strands the deployment over capacity.
+  const std::optional<core::PlaceOutcome> replaced =
+      session_->setCapacity(q.event.switchId, q.event.capacity);
+  if (replaced.has_value() && !replaced->hasSolution()) {
+    *error = "capacity seq " + std::to_string(q.event.seq) + ": switch " +
+             std::to_string(q.event.switchId) + " cannot shrink to " +
+             std::to_string(q.event.capacity) + " (" +
+             outcomeError(*replaced) + "); capacity unchanged";
+    recordFailed({&q});
+    return false;
   }
-  capacityShare_ = std::move(caps);
+  committedSinceRebase_ = 0;
   recordCommitted({&q}, nowNs());
   return true;
 }
@@ -254,48 +235,22 @@ bool Shard::applyUninstallRun(const std::vector<const Queued*>& run,
   }
   if (resolved.empty()) return false;
 
-  // Removal never violates capacity, so no solve: compact the session's
-  // problem and placement around the retracted policies and rebase onto
-  // the result — the same clean-cut shape capacity events use.
-  const core::PlacementProblem& prob = session_->problem();
-  std::vector<char> drop(prob.policies.size(), 0);
-  for (int l : removeLocals) drop[static_cast<std::size_t>(l)] = 1;
-
-  core::PlacementProblem compacted;
-  compacted.graph = graph_;
-  compacted.capacityOverride = capacityShare_;
-  std::vector<int> tagMap(prob.policies.size(), -1);
-  std::vector<int> newLocalToGlobal;
-  for (std::size_t l = 0; l < prob.policies.size(); ++l) {
-    if (drop[l] != 0) continue;
-    tagMap[l] = static_cast<int>(compacted.policies.size());
-    compacted.routing.push_back(prob.routing[l]);
-    compacted.policies.push_back(prob.policies[l]);
-    newLocalToGlobal.push_back(localToGlobal_[l]);
+  // Removal never violates capacity, so no solve: the session compacts
+  // its ids around the retracted policies and rebases; the local ids here
+  // compact the same way.
+  session_->uninstall(removeLocals);
+  session_->rebase();
+  committedSinceRebase_ = 0;
+  for (int l : removeLocals) {
+    globalToLocal_.erase(localToGlobal_[static_cast<std::size_t>(l)]);
   }
-  core::Placement erased = session_->placement();
-  for (int l : removeLocals) erased.erasePolicy(l);
-  core::Placement compactedPlacement(graph_->switchCount());
-  compactedPlacement.appendMapped(erased, tagMap);
-
-  replaceSession(std::make_unique<core::IncrementalSession>(
-      std::move(compacted), std::move(compactedPlacement),
-      config_.sessionOptions));
-  localToGlobal_ = std::move(newLocalToGlobal);
-  globalToLocal_.clear();
+  std::erase_if(localToGlobal_,
+                [&](int g) { return !globalToLocal_.contains(g); });
   for (std::size_t l = 0; l < localToGlobal_.size(); ++l) {
-    globalToLocal_.emplace(localToGlobal_[l], static_cast<int>(l));
+    globalToLocal_[localToGlobal_[l]] = static_cast<int>(l);
   }
   recordCommitted(resolved, nowNs());
   return true;
-}
-
-void Shard::replaceSession(
-    std::unique_ptr<core::IncrementalSession> fresh) {
-  repackBase_ += session_->repacks();
-  escalationBase_ += session_->escalations();
-  session_ = std::move(fresh);
-  committedSinceRebase_ = 0;
 }
 
 void Shard::maybeRebase() {
@@ -303,10 +258,8 @@ void Shard::maybeRebase() {
       committedSinceRebase_ < config_.rebaseEvents) {
     return;
   }
-  core::PlacementProblem problem = session_->problem();
-  core::Placement placement = session_->placement();
-  replaceSession(std::make_unique<core::IncrementalSession>(
-      std::move(problem), std::move(placement), config_.sessionOptions));
+  session_->rebase();
+  committedSinceRebase_ = 0;
   if (obs::enabled()) {
     obs::Registry::global().counter("serve.rebase").add(1);
   }
@@ -320,13 +273,13 @@ void Shard::publish(std::string lastError) {
   snap->routing = session_->problem().routing;
   snap->policies = session_->problem().policies;
   snap->localToGlobal = localToGlobal_;
-  snap->capacity = capacityShare_;
+  snap->capacityShare = session_->problem().capacityOverride;
   snap->version = ++version_;
   snap->lastCommittedSeq = lastCommittedSeq_;
   snap->lastError = std::move(lastError);
   std::lock_guard<std::mutex> lock(stateMutex_);
-  counters_.repacks = repackBase_ + session_->repacks();
-  counters_.escalations = escalationBase_ + session_->escalations();
+  counters_.repacks = session_->repacks();
+  counters_.escalations = session_->escalations();
   snapshot_ = std::move(snap);
 }
 

@@ -23,7 +23,9 @@
 // Shard capacity: each shard owns a fixed share of every switch's TCAM
 // (its base usage plus an even split of the spare), so the shards' solves
 // are independent and their union never exceeds the real capacity.  With
-// one shard the share is the full capacity and placement is exact.
+// one shard the share is the full capacity and placement is exact.  The
+// share is the session problem's capacityOverride; a capacity event
+// changes it in place.
 
 #include <atomic>
 #include <cstdint>
@@ -46,32 +48,22 @@ class Shard {
   struct Config {
     std::size_t maxBatch = 256;
     /// Committed session events between rebases (0 = never).  A rebase
-    /// rebuilds the session from its own committed state, which moves every
-    /// session-placed policy into the fixed base: a later repack may then
-    /// move only what the session placed since.
+    /// moves every session-placed policy into the session's fixed base: a
+    /// later repack may then move only what the session placed since.
     int rebaseEvents = 512;
     /// Overload rung: when the queue holds at least this many events at
     /// drain time, the batch takes the WHOLE queue (maximum coalescing)
     /// instead of maxBatch.  0 = never.
     std::size_t overloadBatchAt = 0;
-    /// Seq watermark the shard's initial state already covers (recovery
-    /// hands the recovered watermark back; -1 for a fresh shard).
-    std::int64_t initialCommittedSeq = -1;
     core::PlaceOptions sessionOptions;
   };
 
-  /// Immutable committed state, shared with query threads.
-  struct Snapshot {
-    core::Placement placement;                ///< local tags
-    std::vector<topo::IngressPaths> routing;  ///< by local policy id
-    std::vector<acl::Policy> policies;
-    std::vector<int> localToGlobal;  ///< local policy id -> global id
-    std::vector<int> capacity;       ///< this shard's per-switch share
+  /// Immutable committed state, shared with query threads.  Its
+  /// lastCommittedSeq is the seq watermark: every event with seq <= it is
+  /// resolved (committed or failed) and reflected here.  The queue is FIFO
+  /// and ingest seqs are strictly increasing, so the watermark is complete.
+  struct Snapshot : SnapshotShard {
     std::int64_t version = 0;
-    /// Seq watermark: every event with seq <= this is resolved (committed
-    /// or failed) and reflected in this snapshot.  The queue is FIFO and
-    /// ingest seqs are strictly increasing, so the watermark is complete.
-    std::int64_t lastCommittedSeq = -1;
     std::string lastError;  ///< last failed run's message ("" = none)
   };
 
@@ -88,13 +80,11 @@ class Shard {
     std::int64_t overloadBatches = 0;  ///< whole-queue overload drains
   };
 
-  /// `routing`/`policies`/`base` are this shard's slice in *local* ids;
-  /// `localToGlobal[i]` maps them back.  `capacityShare` is the per-switch
-  /// capacity this shard may use (base usage included).
-  Shard(const topo::Graph& graph, std::vector<topo::IngressPaths> routing,
-        std::vector<acl::Policy> policies, core::Placement base,
-        std::vector<int> capacityShare, std::vector<int> localToGlobal,
-        Config config);
+  /// `state` is this shard's slice in *local* ids (its localToGlobal maps
+  /// them back), with the per-switch capacity it may use (base usage
+  /// included) and the seq watermark it already covers.  The shard's one
+  /// session is built here and lives as long as the shard.
+  Shard(const topo::Graph& graph, SnapshotShard state, Config config);
   ~Shard();
 
   Shard(const Shard&) = delete;
@@ -148,9 +138,6 @@ class Shard {
   bool applyCapacity(const Queued& q, std::string* error);
   bool applyUninstallRun(const std::vector<const Queued*>& run,
                          std::string* error);
-  /// Swap in a fresh session, folding the old one's repack/escalation
-  /// counts into the accumulated bases first.
-  void replaceSession(std::unique_ptr<core::IncrementalSession> fresh);
   void maybeRebase();
   void recordCommitted(const std::vector<const Queued*>& run,
                        std::int64_t nowNs);
@@ -161,7 +148,6 @@ class Shard {
   std::unique_ptr<core::IncrementalSession> session_;
   std::vector<int> localToGlobal_;
   std::unordered_map<int, int> globalToLocal_;
-  std::vector<int> capacityShare_;
   std::function<void(std::int64_t)> latencySink_;
   std::function<void(CommitRecord)> commitSink_;
 
@@ -177,11 +163,6 @@ class Shard {
   /// for each batch's changed-table diff.
   std::shared_ptr<const Snapshot> prevPublished_;
 
-  // Session counter bases: the session object is replaced on rebase, so
-  // totals accumulate (previous sessions' counts) + (current session's).
-  std::int64_t repackBase_ = 0;
-  std::int64_t escalationBase_ = 0;
-  std::int64_t solveBase_ = 0;
   int committedSinceRebase_ = 0;
 
   mutable std::mutex queueMutex_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/placer.h"
 #include "core/verify.h"
@@ -271,6 +273,25 @@ TEST(Scenario, RoundTripsThroughFormat) {
   // Both parse to problems with identical optimal objective.
   EXPECT_EQ(core::place(sc.problem()).objective,
             core::place(sc2.problem()).objective);
+}
+
+TEST(Scenario, FormatRejectsTwoPoliciesOnOneIngress) {
+  // The format keys a policy by its ingress port, so a second policy on
+  // the same port would render but never read back.
+  Scenario sc;
+  parseScenario(kFig3Scenario, sc);
+  core::PlacementProblem twice = sc.problem();
+  twice.routing.push_back(twice.routing[0]);
+  twice.policies.push_back(twice.policies[0]);
+  try {
+    formatScenario(twice);
+    FAIL() << "formatScenario accepted two policies on one ingress";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  sc.graph.entryPort(twice.routing[0].ingress).name),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Scenario, LoadFromFile) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -350,6 +351,167 @@ TEST(ServeDaemon, MultiShardChurnStaysVerified) {
     EXPECT_EQ(c.problem.capacityOf(sw), scenario.graph.sw(sw).capacity);
     EXPECT_LE(c.placement.usedCapacity(sw), scenario.graph.sw(sw).capacity);
   }
+}
+
+// Regression: every uninstall run, capacity event and rebase used to build
+// a fresh session from the daemon's options, whose absolute deadline was
+// armed once at start-up.  Once the daemon was older than its event
+// timeout, each rebuilt session's span read as already spent and every
+// later event failed "deadline expired before start".
+TEST(ServeDaemon, EventsAfterUninstallCapacityAndRebaseOutliveTheTimeout) {
+  io::Scenario scenario;
+  churnScenario(smallChurn(), scenario);
+  const auto reroutes = [](Daemon& daemon, int firstSeq) {
+    for (int i = 0; i < 4; ++i) {
+      const std::string line =
+          R"({"op":"reroute","seq":)" + std::to_string(firstSeq + i) +
+          R"(,"policy":)" + std::to_string(i + 1) + R"(,"egress":)" +
+          std::to_string((i * 5 + 3) % 16) + "}";
+      ASSERT_TRUE(okResponse(daemon.handleLine(line))) << line;
+      daemon.flush();
+    }
+  };
+  const struct {
+    const char* name;
+    const char* event;  // seq 1, after one reroute at seq 0
+    int rebaseEvents;
+  } cases[] = {
+      {"uninstall", R"({"op":"uninstall","seq":1,"policy":0})", 512},
+      {"capacity grow", R"({"op":"capacity","seq":1,"switch":0,"capacity":200})",
+       512},
+      {"rebase", R"({"op":"reroute","seq":1,"policy":2,"egress":9})", 1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    DaemonOptions opts;
+    opts.debounceSeconds = -1.0;
+    opts.eventTimeoutSeconds = 0.25;
+    opts.rebaseEvents = c.rebaseEvents;
+    Daemon daemon(scenario, opts);
+    std::this_thread::sleep_for(std::chrono::milliseconds(350));
+    ASSERT_TRUE(okResponse(daemon.handleLine(
+        R"({"op":"reroute","seq":0,"policy":1,"egress":7})")));
+    daemon.flush();
+    ASSERT_TRUE(okResponse(daemon.handleLine(c.event)));
+    daemon.flush();
+    reroutes(daemon, 2);
+    const Daemon::Stats st = daemon.stats();
+    EXPECT_EQ(st.totals.failed, 0) << daemon.compose().lastError;
+    EXPECT_EQ(st.totals.committed, 6);
+    if (c.rebaseEvents == 1) EXPECT_GT(st.totals.rebases, 0);
+  }
+}
+
+// Capacity events on a two-switch line s0 - s1 (capacity 4 and 0).  Every
+// ingress port sits on s0; the base policy A (port pa) is routed over s0
+// alone, so its two rules must stay there.  All rules are disjoint drops
+// that no two of one policy could merge into one: each needs one entry
+// somewhere on its policy's path.
+struct CapacityLine {
+  io::Scenario scenario;
+  topo::SwitchId s0 = 0, s1 = 0;
+
+  CapacityLine() {
+    topo::Graph& g = scenario.graph;
+    s0 = g.addSwitch(4, topo::SwitchRole::kGeneric, "s0");
+    s1 = g.addSwitch(0, topo::SwitchRole::kGeneric, "s1");
+    g.addLink(s0, s1);
+    const topo::PortId out0 = g.addEntryPort(s0, "out0");
+    g.addEntryPort(s1, "out1");
+    const topo::PortId pa = g.addEntryPort(s0, "pa");
+    for (const char* name : {"pc", "pd", "pf"}) g.addEntryPort(s0, name);
+    scenario.routing.push_back({pa, {topo::Path{pa, out0, {s0}, std::nullopt}}});
+    acl::Policy a;
+    a.addRule(match::Ternary::fromString("0000****"), acl::Action::kDrop);
+    a.addRule(match::Ternary::fromString("0011****"), acl::Action::kDrop);
+    scenario.policies.push_back(a);
+  }
+};
+
+std::string dropInstall(int seq, const char* ingress, const char* egress,
+                        const std::vector<const char*>& drops) {
+  std::string line = R"({"op":"install","seq":)" + std::to_string(seq) +
+                     R"(,"ingress":")" + ingress + R"(","egress":")" +
+                     egress + R"(","rules":[)";
+  for (std::size_t i = 0; i < drops.size(); ++i) {
+    if (i > 0) line += ',';
+    line += std::string(R"("drop raw )") + drops[i] + '"';
+  }
+  return line + "]}";
+}
+
+std::string capacityLine(int seq, const char* sw, int capacity) {
+  return R"({"op":"capacity","seq":)" + std::to_string(seq) +
+         R"(,"switch":")" + sw + R"(","capacity":)" +
+         std::to_string(capacity) + "}";
+}
+
+TEST(ServeDaemon, CapacityEventsGrowShrinkRejectAndKeepCounting) {
+  CapacityLine net;
+  DaemonOptions opts;
+  opts.debounceSeconds = -1.0;
+  Daemon daemon(net.scenario, opts);
+  const auto apply = [&](const std::string& line) {
+    EXPECT_TRUE(okResponse(daemon.handleLine(line))) << line;
+    daemon.flush();
+    return daemon.compose();
+  };
+  const auto verified = [](const Daemon::Composed& c) {
+    return core::verifyPlacement(c.problem, c.placement).ok;
+  };
+
+  // C (s0 -> s1) can only go to s0 while s1 has no capacity.
+  Daemon::Composed c =
+      apply(dropInstall(0, "pc", "out1", {"0101****", "0110****"}));
+  ASSERT_EQ(c.placement.usedCapacity(net.s0), 4);
+
+  // Grow: nothing moves, the capacity is visible.
+  const core::Placement beforeGrow = c.placement;
+  c = apply(capacityLine(1, "s1", 4));
+  EXPECT_EQ(c.problem.capacityOf(net.s1), 4);
+  EXPECT_TRUE(c.placement == beforeGrow);
+
+  // D (s0 only) finds s0 full; the escalation moves C towards s1.
+  c = apply(dropInstall(2, "pd", "out0", {"1001****"}));
+  ASSERT_EQ(daemon.stats().totals.escalations, 1);
+  ASSERT_TRUE(verified(c));
+  const int onS1 = c.placement.usedCapacity(net.s1);
+  ASSERT_GE(onS1, 1);
+
+  // Shrink s1 below its usage: the whole shard is re-placed under the new
+  // limit, with room on s0 after it grows.
+  apply(capacityLine(3, "s0", 8));
+  c = apply(capacityLine(4, "s1", onS1 - 1));
+  EXPECT_EQ(c.problem.capacityOf(net.s1), onS1 - 1);
+  EXPECT_LE(c.placement.usedCapacity(net.s1), onS1 - 1);
+  EXPECT_TRUE(verified(c));
+  EXPECT_EQ(c.lastError, "");
+
+  // Infeasible shrink: A and D need three entries on s0.  Nothing changes.
+  const Daemon::Composed before = c;
+  c = apply(capacityLine(5, "s0", 2));
+  EXPECT_TRUE(c.placement == before.placement);
+  EXPECT_EQ(c.problem.capacityOverride, before.problem.capacityOverride);
+  EXPECT_EQ(c.problem.policies.size(), before.problem.policies.size());
+  EXPECT_EQ(c.lastError.rfind("capacity seq 5: switch 0 cannot shrink to 2 (",
+                              0),
+            0u)
+      << c.lastError;
+  EXPECT_NE(c.lastError.find("); capacity unchanged"), std::string::npos);
+  EXPECT_EQ(daemon.stats().totals.failed, 1);
+
+  // Counters keep counting across the capacity events: F's five rules do
+  // not fit in what s0 has left, but escalating moves C to s1 again.
+  apply(capacityLine(6, "s1", 4));
+  c = apply(dropInstall(7, "pf", "out0",
+                        {"11000000", "11000011", "11001100", "11001111",
+                         "11110000"}));
+  EXPECT_TRUE(verified(c));
+  const Daemon::Stats st = daemon.stats();
+  EXPECT_EQ(st.totals.escalations, 2);
+  EXPECT_EQ(st.totals.repacks, 0);
+  EXPECT_EQ(st.totals.committed, 7);
+  EXPECT_EQ(st.totals.failed, 1);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -394,6 +395,96 @@ TEST(IncrementalSession, ChurnSequenceStaysVerifiedAndReusesTheSolver) {
   ASSERT_TRUE(oneEvent.hasSolution());
   EXPECT_TRUE(oneEvent.placement == session.placement());
   EXPECT_TRUE(verifyPlacement(oneEvent.solvedProblem, oneEvent.placement));
+
+  // In-place uninstall, capacity and rebase against a reference session
+  // rebuilt from scratch over the same state: a following install and
+  // reroute must leave both with == placements.
+  const char* morePermits[] = {"0110", "1110", "0001", "1011"};
+  const char* moreDrops[] = {"01**", "111*", "000*", "10**"};
+  int step = 0;
+  const auto followUp = [&](IncrementalSession& ref) {
+    const topo::IngressPaths r = net.routeFrom(net.sw[0]);
+    const acl::Policy q = twoRulePolicy(morePermits[step], moreDrops[step]);
+    ++step;
+    ASSERT_TRUE(session.install({r}, {q}).hasSolution());
+    ASSERT_TRUE(ref.install({r}, {q}).hasSolution());
+    EXPECT_TRUE(session.placement() == ref.placement());
+    const topo::IngressPaths moved = net.routeFrom(net.sw[1]);
+    ASSERT_TRUE(session.reroute({0}, {moved}).hasSolution());
+    ASSERT_TRUE(ref.reroute({0}, {moved}).hasSolution());
+    EXPECT_TRUE(session.placement() == ref.placement());
+    EXPECT_EQ(session.problem().policyCount(), ref.problem().policyCount());
+    EXPECT_TRUE(verifyPlacement(session.problem(), session.placement()));
+  };
+
+  {
+    SCOPED_TRACE("uninstall + rebase");
+    const std::vector<int> kept{0, 2, 4};
+    std::vector<int> tagMap{0, -1, 1, -1, 2};
+    Placement erased = session.placement();
+    erased.erasePolicies({1, 3});
+    Placement compacted(net.graph.switchCount());
+    compacted.appendMapped(erased, tagMap);
+    IncrementalSession ref(session.problem().subset(kept), compacted);
+    session.uninstall({3, 1});
+    session.rebase();
+    EXPECT_EQ(session.problem().policyCount(), 3);
+    EXPECT_TRUE(session.placement() == compacted);
+    followUp(ref);
+  }
+  {
+    SCOPED_TRACE("capacity grow");
+    PlacementProblem grown = session.problem();
+    grown.capacityOverride.assign(4, 5);
+    grown.capacityOverride[3] = 7;
+    IncrementalSession ref(grown, session.placement());
+    EXPECT_FALSE(session.setCapacity(net.sw[3], 7).has_value());
+    EXPECT_EQ(session.problem().capacityOf(net.sw[3]), 7);
+    followUp(ref);
+  }
+  {
+    SCOPED_TRACE("capacity shrink");
+    const int used = session.placement().usedCapacity(net.sw[0]);
+    ASSERT_GT(used, 0);
+    PlacementProblem shrunk = session.problem();
+    shrunk.capacityOverride[0] = used - 1;
+    const PlaceOutcome full = place(shrunk);
+    ASSERT_TRUE(full.hasSolution());
+    IncrementalSession ref(full.solvedProblem, full.placement);
+    const std::optional<PlaceOutcome> replaced =
+        session.setCapacity(net.sw[0], used - 1);
+    ASSERT_TRUE(replaced.has_value());
+    ASSERT_TRUE(replaced->hasSolution());
+    EXPECT_TRUE(session.placement() == full.placement);
+    followUp(ref);
+  }
+  {
+    SCOPED_TRACE("rebase");
+    IncrementalSession ref(session.problem(), session.placement());
+    session.rebase();
+    followUp(ref);
+  }
+  // The counters kept counting through all of it.
+  EXPECT_EQ(session.events(), 6 + 2 * step);
+  EXPECT_EQ(session.escalations(), 0);
+
+  // A shrink nothing can meet leaves the session exactly as it was: one
+  // switch whose policy needs both its rules there.
+  Line one(1, 4);
+  PlacementProblem oneBase;
+  oneBase.graph = &one.graph;
+  IncrementalSession small(oneBase, Placement{});
+  ASSERT_TRUE(small.install({one.routeFrom(one.sw[0])},
+                            {twoRulePolicy("1010", "10**")})
+                  .hasSolution());
+  const PlacementProblem beforeFail = small.problem();
+  const Placement deployedBeforeFail = small.placement();
+  const std::optional<PlaceOutcome> failed = small.setCapacity(one.sw[0], 1);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->status, solver::OptStatus::kInfeasible);
+  EXPECT_TRUE(small.placement() == deployedBeforeFail);
+  EXPECT_EQ(small.problem().capacityOverride, beforeFail.capacityOverride);
+  EXPECT_EQ(small.problem().policyCount(), beforeFail.policyCount());
 }
 
 TEST(IncrementalSession, FailedInstallRollsBackExactly) {

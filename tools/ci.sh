@@ -11,9 +11,10 @@
 #                          process
 #   tools/ci.sh --san      additionally build the asan-ubsan and tsan
 #                          presets and run the solver + parallel-engine +
-#                          fuzz + incremental-session tests under each (the
-#                          suites that exercise raw pointer juggling, the
-#                          thread pool and the session's moves and copies)
+#                          fuzz + incremental-session + serve tests under
+#                          each (the suites that exercise raw pointer
+#                          juggling, the thread pool, the session's moves
+#                          and copies, and the shards' snapshot swaps)
 #
 # Presets live in CMakePresets.json; sanitizer builds keep assert() live
 # (Debug + -O1), unlike the default RelWithDebInfo build.  Test labels
@@ -33,9 +34,9 @@ run_sanitized() {
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}" \
     --target test_solver --target test_solver_pb --target test_parallel \
-    --target test_fuzz --target test_solver_incremental
+    --target test_fuzz --target test_solver_incremental --target test_serve
   for t in test_solver test_solver_pb test_parallel test_fuzz \
-           test_solver_incremental; do
+           test_solver_incremental test_serve; do
     "./${builddir}/tests/${t}"
   done
 }

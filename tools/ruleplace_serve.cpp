@@ -205,6 +205,14 @@ int main(int argc, char** argv) {
 
   try {
     if (!genTracePath.empty()) {
+      // Render the scenario first: one that cannot be written (say, two
+      // base policies on one ingress port) fails before any file is.
+      std::string scenarioText;
+      if (!genScenarioPath.empty()) {
+        io::Scenario scenario;
+        serve::churnScenario(churnCfg, scenario);
+        scenarioText = io::formatScenario(scenario.problem());
+      }
       const std::vector<std::string> lines =
           serve::churnLines(churnCfg, 0, churnCfg.events);
       std::ofstream trace(genTracePath);
@@ -214,14 +222,12 @@ int main(int argc, char** argv) {
       }
       for (const std::string& line : lines) trace << line << '\n';
       if (!genScenarioPath.empty()) {
-        io::Scenario scenario;
-        serve::churnScenario(churnCfg, scenario);
         std::ofstream sf(genScenarioPath);
         if (!sf) {
           std::fprintf(stderr, "cannot write %s\n", genScenarioPath.c_str());
           return 1;
         }
-        sf << io::formatScenario(scenario.problem());
+        sf << scenarioText;
       }
       std::fprintf(stderr, "wrote %lld trace lines to %s\n",
                    static_cast<long long>(churnCfg.events),
