@@ -12,12 +12,17 @@
 //     outside the timed region.  Its search is tiny (0 conflicts), so the
 //     time is mostly solver set-up: variable creation, lowering, and the
 //     polisher when an incumbent misses the lower bound.
+//   * place_k32          — the whole core::place call on the same k=32
+//     instance, which the certified fast path answers without a model
+//     (ingress-first walk, model-free bound, table build); timed warm,
+//     after one untimed call fills the dependency-graph cache.
 //
 // Counters: model size (vars / constraints / nonzeros), `model_bytes`
 // (solver::Model::memoryBytes — arena term pool + row records + packed
 // name refs; the whole model, since nothing else is retained) and the
-// throughputs `encode_vars_per_sec` / `solve_vars_per_sec` (robust on
-// noisy runners where raw times are not).  tools/check_bench.py compares
+// throughputs `encode_vars_per_sec` / `solve_vars_per_sec` /
+// `placed_entries_per_sec` (robust on noisy runners where raw times are
+// not); place_k32 also reports `fast_path_components`.  tools/check_bench.py compares
 // runs against bench/baselines/BENCH_encoder.json in the per-PR
 // bench-check.
 
@@ -25,6 +30,7 @@
 
 #include "bench_common.h"
 #include "core/encoder.h"
+#include "core/placer.h"
 #include "solver/optimize.h"
 
 namespace ruleplace::bench {
@@ -84,6 +90,29 @@ void solvePoint(benchmark::State& state, const core::InstanceConfig& cfg) {
       lastSeconds > 0.0 ? static_cast<double>(vars) / lastSeconds : 0.0;
 }
 
+void placePoint(benchmark::State& state, const core::InstanceConfig& cfg) {
+  const core::Instance inst(cfg);
+  const core::PlacementProblem problem = inst.problem();
+  const core::PlaceOptions opts;
+  core::place(problem, opts);  // warm the dependency-graph cache
+  std::int64_t entries = 0, fastPath = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::PlaceOutcome out = core::place(problem, opts);
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    state.SetIterationTime(s);
+    seconds += s;
+    entries += out.placement.totalInstalledRules();
+    fastPath = out.fastPathComponents;
+  }
+  state.counters["fast_path_components"] = static_cast<double>(fastPath);
+  state.counters["placed_entries_per_sec"] =
+      seconds > 0.0 ? static_cast<double>(entries) / seconds : 0.0;
+}
+
 core::InstanceConfig k32Config() {
   // The k=32 fabric center point of the full-scale tier (1280 switches,
   // >= 10^5 rules).
@@ -131,6 +160,12 @@ void registerPoints() {
       [k32](benchmark::State& state) { solvePoint(state, k32); })
       ->UseManualTime()
       ->Iterations(1)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(
+      "place_k32",
+      [k32](benchmark::State& state) { placePoint(state, k32); })
+      ->UseManualTime()
+      ->Iterations(5)
       ->Unit(benchmark::kMillisecond);
 }
 

@@ -24,10 +24,11 @@ int Policy::addRuleWithPriority(const match::Ternary& matchField,
   if (!rules_.empty() && matchField.width() != rules_.front().matchField.width()) {
     throw std::invalid_argument("Policy rules must share one header width");
   }
-  for (const auto& r : rules_) {
-    if (r.priority == priority) {
-      throw std::invalid_argument("Policy priorities must be strictly unique");
-    }
+  auto pos = std::lower_bound(
+      rules_.begin(), rules_.end(), priority,
+      [](const Rule& r, int p) { return r.priority > p; });
+  if (pos != rules_.end() && pos->priority == priority) {
+    throw std::invalid_argument("Policy priorities must be strictly unique");
   }
   Rule r;
   r.matchField = matchField;
@@ -35,26 +36,38 @@ int Policy::addRuleWithPriority(const match::Ternary& matchField,
   r.priority = priority;
   r.id = nextId_++;
   r.dummy = dummy;
-  auto pos = std::lower_bound(
-      rules_.begin(), rules_.end(), r,
-      [](const Rule& a, const Rule& b) { return a.priority > b.priority; });
+  const auto at = static_cast<std::size_t>(pos - rules_.begin());
+  const bool keepsIdentity = position_.empty() && at == rules_.size();
   rules_.insert(pos, r);
+  if (!keepsIdentity) reindexFrom(at);
   return r.id;
 }
 
 bool Policy::removeRule(int ruleId) {
-  auto it = std::find_if(rules_.begin(), rules_.end(),
-                         [&](const Rule& r) { return r.id == ruleId; });
-  if (it == rules_.end()) return false;
-  rules_.erase(it);
+  const int at = positionOf(ruleId);
+  if (at < 0) return false;
+  rules_.erase(rules_.begin() + at);
+  reindexFrom(static_cast<std::size_t>(at));
+  position_[static_cast<std::size_t>(ruleId)] = -1;
   return true;
 }
 
-const Rule* Policy::findRule(int ruleId) const noexcept {
-  for (const auto& r : rules_) {
-    if (r.id == ruleId) return &r;
+void Policy::reindexFrom(std::size_t from) {
+  if (position_.empty()) {
+    // Rules before `from` have not moved, so each still sits at its id.
+    position_.assign(static_cast<std::size_t>(nextId_), -1);
+    for (std::size_t i = 0; i < from; ++i) position_[i] = static_cast<int>(i);
+  } else {
+    position_.resize(static_cast<std::size_t>(nextId_), -1);
   }
-  return nullptr;
+  for (std::size_t i = from; i < rules_.size(); ++i) {
+    position_[static_cast<std::size_t>(rules_[i].id)] = static_cast<int>(i);
+  }
+}
+
+const Rule* Policy::findRule(int ruleId) const noexcept {
+  const int at = positionOf(ruleId);
+  return at < 0 ? nullptr : &rules_[static_cast<std::size_t>(at)];
 }
 
 Action Policy::evaluate(const match::Ternary& header) const noexcept {

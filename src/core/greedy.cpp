@@ -1,6 +1,5 @@
 #include "core/greedy.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <unordered_set>
@@ -38,19 +37,12 @@ using PlacedSet = std::unordered_set<PlacedKey, PlacedKeyHash>;
 // greedy only ever queries the policy it is currently placing, so the set
 // collapses to rule-position × switch bits — one word probe per lookup
 // instead of a hash + node chase on the hottest path (the per-switch
-// shield pre-count).  Keyed by the rule's *position* in the policy, not
-// its id, so id churn cannot grow or collide the table.
+// shield pre-count).  Keyed by the rule's *position* in the policy (its
+// O(1) id index), not its id, so id churn cannot grow or collide the table.
 class PlacedBitmap {
  public:
   PlacedBitmap(const acl::Policy& policy, std::size_t switchCount)
-      : switchCount_(switchCount) {
-    int maxId = -1;
-    for (const auto& r : policy.rules()) maxId = std::max(maxId, r.id);
-    idToPos_.assign(static_cast<std::size_t>(maxId + 1), 0);
-    std::uint32_t next = 0;
-    for (const auto& r : policy.rules()) {
-      idToPos_[static_cast<std::size_t>(r.id)] = next++;
-    }
+      : policy_(policy), switchCount_(switchCount) {
     bits_.assign((policy.size() * switchCount_ + 63) / 64, 0);
   }
 
@@ -70,12 +62,13 @@ class PlacedBitmap {
 
  private:
   std::size_t bitIndex(int ruleId, topo::SwitchId sw) const noexcept {
-    return idToPos_[static_cast<std::size_t>(ruleId)] * switchCount_ +
+    return static_cast<std::size_t>(policy_.positionOf(ruleId)) *
+               switchCount_ +
            static_cast<std::size_t>(sw);
   }
 
+  const acl::Policy& policy_;
   std::size_t switchCount_;
-  std::vector<std::uint32_t> idToPos_;  // rule id -> position in policy
   std::vector<std::uint64_t> bits_;
 };
 

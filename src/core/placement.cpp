@@ -1,9 +1,9 @@
 #include "core/placement.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/encoder.h"
 
@@ -95,15 +95,77 @@ std::string Placement::toString(const PlacementProblem& problem) const {
 
 namespace {
 
-// Entry under construction, with per-policy priorities for ordering.
-struct PendingEntry {
-  InstalledRule rule;
-  std::map<int, int> policyPriority;  // policyId -> original priority
+// The table order, for both builders: Kahn's topological sort over the
+// order-sensitive pairs (opposite action + overlap + shared tag), always
+// emitting the ready entry of smallest key (-original priority of the
+// first tag, first tag, representative rule id).  kahnTable() runs it;
+// sortedTable() gives the same order for tables of single-tag entries.
+
+// A single-tag entry awaiting its table: the policy rule it installs and
+// its key.
+struct TaggedRule {
+  int negPriority;  // -(original priority)
+  int tag;          // the policy id
+  int ruleId;
+  const acl::Rule* rule;
+
+  auto key() const noexcept { return std::tie(negPriority, tag, ruleId); }
 };
 
-// Deterministic topological ordering of one switch's entries under
-// order-sensitivity constraints (opposite action + overlap + shared tag).
-std::vector<InstalledRule> orderTable(std::vector<PendingEntry> entries) {
+TaggedRule tagged(const acl::Rule& r, int policyId) {
+  return {-r.priority, policyId, r.id, &r};
+}
+
+InstalledRule installed(const TaggedRule& t) {
+  InstalledRule r;
+  r.matchField = t.rule->matchField;
+  r.action = t.rule->action;
+  r.tags = {t.tag};
+  r.representativeRule = t.ruleId;
+  return r;
+}
+
+void numberDown(std::vector<InstalledRule>& table) {
+  int prio = static_cast<int>(table.size());
+  for (auto& r : table) r.priority = prio--;
+}
+
+// A table of single-tag entries, in match order.  An order constraint
+// needs a shared tag, so it joins two entries of one policy and runs from
+// the higher original priority to the lower (a policy's priorities are
+// unique): every constraint agrees with the key, and Kahn's loop emits
+// exactly the key order.  The entries are built here, in table order, so
+// each table's tag storage is allocated in the order it is read.
+std::vector<InstalledRule> sortedTable(std::vector<TaggedRule>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const TaggedRule& a, const TaggedRule& b) {
+              return a.key() < b.key();
+            });
+  std::vector<InstalledRule> out;
+  out.reserve(entries.size());
+  for (const auto& e : entries) out.push_back(installed(e));
+  numberDown(out);
+  return out;
+}
+
+// An entry of a table that holds merged entries, with its original
+// priority under each of its tags.
+struct PendingEntry {
+  InstalledRule rule;
+  std::vector<int> tagPriority;  // parallel to rule.tags
+
+  int priorityUnder(int tag) const {
+    auto it = std::lower_bound(rule.tags.begin(), rule.tags.end(), tag);
+    return tagPriority[static_cast<std::size_t>(it - rule.tags.begin())];
+  }
+  std::tuple<int, int, int> key() const {
+    if (rule.tags.empty()) return {0, -1, rule.representativeRule};
+    return {-tagPriority.front(), rule.tags.front(), rule.representativeRule};
+  }
+};
+
+// A table holding merged entries, in match order.
+std::vector<InstalledRule> kahnTable(const std::vector<PendingEntry>& entries) {
   const std::size_t n = entries.size();
   std::vector<std::vector<std::size_t>> succ(n);
   std::vector<int> indegree(n, 0);
@@ -118,8 +180,8 @@ std::vector<InstalledRule> orderTable(std::vector<PendingEntry> entries) {
       int dir = 0;  // +1: a before b, -1: b before a
       for (int tag : ra.tags) {
         if (!rb.visibleTo(tag)) continue;
-        int pa = entries[a].policyPriority.at(tag);
-        int pb = entries[b].policyPriority.at(tag);
+        int pa = entries[a].priorityUnder(tag);
+        int pb = entries[b].priorityUnder(tag);
         int d = pa > pb ? 1 : -1;
         if (dir != 0 && d != dir) {
           throw std::logic_error(
@@ -136,14 +198,6 @@ std::vector<InstalledRule> orderTable(std::vector<PendingEntry> entries) {
       }
     }
   }
-  // Kahn with a deterministic tie-break: highest original priority of the
-  // first tag, then tag, then rule id.
-  auto keyOf = [&](std::size_t i) {
-    const auto& e = entries[i];
-    int firstTag = e.rule.tags.empty() ? -1 : e.rule.tags.front();
-    int prio = e.policyPriority.empty() ? 0 : e.policyPriority.begin()->second;
-    return std::make_tuple(-prio, firstTag, e.rule.representativeRule);
-  };
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < n; ++i) {
     if (indegree[i] == 0) ready.push_back(i);
@@ -152,8 +206,9 @@ std::vector<InstalledRule> orderTable(std::vector<PendingEntry> entries) {
   out.reserve(n);
   while (!ready.empty()) {
     auto best = std::min_element(
-        ready.begin(), ready.end(),
-        [&](std::size_t x, std::size_t y) { return keyOf(x) < keyOf(y); });
+        ready.begin(), ready.end(), [&](std::size_t x, std::size_t y) {
+          return entries[x].key() < entries[y].key();
+        });
     std::size_t i = *best;
     ready.erase(best);
     out.push_back(entries[i].rule);
@@ -164,9 +219,7 @@ std::vector<InstalledRule> orderTable(std::vector<PendingEntry> entries) {
   if (out.size() != n) {
     throw std::logic_error("placement extraction: cyclic table order");
   }
-  // Assign descending in-switch priorities.
-  int prio = static_cast<int>(n);
-  for (auto& r : out) r.priority = prio--;
+  numberDown(out);
   return out;
 }
 
@@ -174,7 +227,7 @@ std::vector<InstalledRule> orderTable(std::vector<PendingEntry> entries) {
 
 Placement buildPlacement(const PlacementProblem& problem,
                          const std::vector<PlacedRule>& placed) {
-  std::vector<std::vector<PendingEntry>> pending(
+  std::vector<std::vector<TaggedRule>> pending(
       static_cast<std::size_t>(problem.graph->switchCount()));
   for (const auto& pr : placed) {
     const acl::Rule* r =
@@ -183,18 +236,16 @@ Placement buildPlacement(const PlacementProblem& problem,
     if (r == nullptr) {
       throw std::invalid_argument("buildPlacement: unknown rule id");
     }
-    PendingEntry e;
-    e.rule.matchField = r->matchField;
-    e.rule.action = r->action;
-    e.rule.tags = {pr.policyId};
-    e.rule.representativeRule = pr.ruleId;
-    e.policyPriority[pr.policyId] = r->priority;
-    pending[static_cast<std::size_t>(pr.switchId)].push_back(std::move(e));
+    if (pr.switchId < 0 || pr.switchId >= problem.graph->switchCount()) {
+      throw std::invalid_argument("buildPlacement: unknown switch id");
+    }
+    pending[static_cast<std::size_t>(pr.switchId)].push_back(
+        tagged(*r, pr.policyId));
   }
   Placement placement(problem.graph->switchCount());
   for (int sw = 0; sw < problem.graph->switchCount(); ++sw) {
     placement.mutableTable(sw) =
-        orderTable(std::move(pending[static_cast<std::size_t>(sw)]));
+        sortedTable(pending[static_cast<std::size_t>(sw)]);
   }
   return placement;
 }
@@ -203,14 +254,12 @@ Placement extractPlacement(const PlacementProblem& problem,
                            const Encoder& encoder,
                            const std::vector<bool>& assignment,
                            const depgraph::MergeAnalysis* mergeInfo) {
-  Placement placement(problem.graph->switchCount());
-
+  const auto switches = static_cast<std::size_t>(problem.graph->switchCount());
   // Members swallowed by an active merge entry, per switch.
   // Key: (policyId, ruleId), per switch id.
-  std::vector<std::vector<std::pair<int, int>>> absorbed(
-      static_cast<std::size_t>(problem.graph->switchCount()));
-  std::vector<std::vector<PendingEntry>> pending(
-      static_cast<std::size_t>(problem.graph->switchCount()));
+  std::vector<std::vector<std::pair<int, int>>> absorbed(switches);
+  std::vector<std::vector<PendingEntry>> merged(switches);
+  std::vector<std::vector<TaggedRule>> single(switches);
 
   if (mergeInfo != nullptr) {
     for (const auto& [groupId, sw] : encoder.mergeKeys()) {
@@ -222,23 +271,29 @@ Placement extractPlacement(const PlacementProblem& problem,
       e.rule.matchField = group.matchField;
       e.rule.action = group.action;
       e.rule.merged = true;
+      // (policy, original priority); a group holds one member per policy.
+      std::vector<std::pair<int, int>> members;
       for (const auto& m : group.members) {
         solver::ModelVar pv = encoder.placementVar(m.policyId, m.ruleId, sw);
         if (pv < 0) continue;  // member has no variable at this switch
         // Eq. 4/5 guarantee all members present when the merge var fires.
-        e.rule.tags.push_back(m.policyId);
-        const acl::Rule* r =
-            problem.policies[static_cast<std::size_t>(m.policyId)].findRule(
-                m.ruleId);
-        e.policyPriority[m.policyId] = r->priority;
+        members.emplace_back(
+            m.policyId,
+            problem.policies[static_cast<std::size_t>(m.policyId)]
+                .findRule(m.ruleId)
+                ->priority);
         if (e.rule.representativeRule < 0) {
           e.rule.representativeRule = m.ruleId;
         }
         absorbed[static_cast<std::size_t>(sw)].push_back(
             {m.policyId, m.ruleId});
       }
-      std::sort(e.rule.tags.begin(), e.rule.tags.end());
-      pending[static_cast<std::size_t>(sw)].push_back(std::move(e));
+      std::sort(members.begin(), members.end());
+      for (const auto& [tag, prio] : members) {
+        e.rule.tags.push_back(tag);
+        e.tagPriority.push_back(prio);
+      }
+      merged[static_cast<std::size_t>(sw)].push_back(std::move(e));
     }
   }
 
@@ -254,18 +309,21 @@ Placement extractPlacement(const PlacementProblem& problem,
     const acl::Rule* r =
         problem.policies[static_cast<std::size_t>(key.policyId)].findRule(
             key.ruleId);
-    PendingEntry e;
-    e.rule.matchField = r->matchField;
-    e.rule.action = r->action;
-    e.rule.tags = {key.policyId};
-    e.rule.representativeRule = key.ruleId;
-    e.policyPriority[key.policyId] = r->priority;
-    pending[static_cast<std::size_t>(key.switchId)].push_back(std::move(e));
+    single[static_cast<std::size_t>(key.switchId)].push_back(
+        tagged(*r, key.policyId));
   }
 
-  for (int sw = 0; sw < problem.graph->switchCount(); ++sw) {
-    placement.mutableTable(sw) =
-        orderTable(std::move(pending[static_cast<std::size_t>(sw)]));
+  Placement placement(problem.graph->switchCount());
+  for (std::size_t sw = 0; sw < switches; ++sw) {
+    auto& table = placement.mutableTable(static_cast<topo::SwitchId>(sw));
+    if (merged[sw].empty()) {
+      table = sortedTable(single[sw]);
+      continue;
+    }
+    for (const TaggedRule& t : single[sw]) {
+      merged[sw].push_back({installed(t), {-t.negPriority}});
+    }
+    table = kahnTable(merged[sw]);
   }
   return placement;
 }

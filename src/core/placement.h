@@ -6,8 +6,9 @@
 // and every installed rule matches on a tag set.  Rules from different
 // policies therefore never interact; merged rules carry the union of their
 // member policies' tags.  Within one switch the table order respects every
-// visible policy's original priorities (the extraction performs a
-// topological sort over order-sensitive pairs).
+// visible policy's original priorities: a topological sort over
+// order-sensitive pairs, which for tables without merged entries is a
+// plain sort by (−original priority, tag, rule id).
 
 #include <cstdint>
 #include <string>
@@ -123,8 +124,9 @@ struct PlacedRule {
 
 /// Build a placement directly from a list of placed rules (no merging) —
 /// used by the greedy baseline and by tests constructing placements by
-/// hand.  Performs the same per-switch topological ordering as the
-/// solver-based extraction.
+/// hand.  Orders each table as the solver-based extraction does.  Throws
+/// std::invalid_argument for a rule id its policy does not hold or a
+/// switch id the graph does not have.
 Placement buildPlacement(const PlacementProblem& problem,
                          const std::vector<PlacedRule>& placed);
 

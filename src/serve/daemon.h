@@ -54,11 +54,15 @@ struct DaemonOptions {
   /// > 0 waits for the window or a full batch, < 0 never auto-drains
   /// (flush()/shutdown only — the deterministic replay mode).
   double debounceSeconds = 0.0;
-  /// Per-event wall-clock budget (< 0 = none).  Re-armed for every event
-  /// by the session — a fixed absolute deadline would go stale and reject
-  /// everything after the first timeout.
-  double eventTimeoutSeconds = -1.0;
-  std::int64_t eventConflictBudget = -1;  ///< per-event conflicts (< 0 none)
+  /// Per-event budgets, finite by default so that one hard escalation or
+  /// capacity re-place cannot hold a shard's drain without bound; < 0 opts
+  /// out (unlimited).  The conflict budget is the deterministic bound:
+  /// replay and recovery stay bit-identical under it.  The wall-clock
+  /// budget is a backstop that ordinary events never reach; it is re-armed
+  /// for every event by the session — a fixed absolute deadline would go
+  /// stale and reject everything after the first timeout.
+  double eventTimeoutSeconds = 10.0;
+  std::int64_t eventConflictBudget = 10000;
   /// Feasibility-only re-solves (the incremental default).  Off = optimize
   /// each event's objective.
   bool satisfiabilityOnly = true;

@@ -64,6 +64,83 @@ TEST(Policy, RemoveRule) {
   EXPECT_TRUE(q.empty());
 }
 
+// findRule() goes through the id -> position index; every rule must be
+// found at its current position after each kind of mutation.
+void expectIndexed(const Policy& q) {
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const Rule& r = q.rules()[i];
+    EXPECT_EQ(q.findRule(r.id), &r) << "rule id " << r.id;
+    EXPECT_EQ(q.positionOf(r.id), static_cast<int>(i)) << "rule id " << r.id;
+  }
+}
+
+TEST(Policy, FindRuleAfterMidListInsert) {
+  Policy q;
+  const int a = q.addRuleWithPriority(T("00"), Action::kDrop, 30);
+  const int b = q.addRuleWithPriority(T("01"), Action::kPermit, 10);
+  const int c = q.addRuleWithPriority(T("10"), Action::kDrop, 20);  // middle
+  const int d = q.addRuleWithPriority(T("11"), Action::kDrop, 40);  // front
+  expectIndexed(q);
+  EXPECT_EQ(q.positionOf(d), 0);
+  EXPECT_EQ(q.positionOf(a), 1);
+  EXPECT_EQ(q.positionOf(c), 2);
+  EXPECT_EQ(q.positionOf(b), 3);
+  EXPECT_EQ(q.findRule(c)->priority, 20);
+  EXPECT_EQ(q.findRule(-1), nullptr);
+  EXPECT_EQ(q.findRule(d + 1), nullptr);  // past the last issued id
+  EXPECT_EQ(q.positionOf(-1), -1);
+}
+
+TEST(Policy, FindRuleAfterRemove) {
+  Policy q;
+  std::vector<int> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(q.addRule(T("0*"), Action::kDrop));
+  ASSERT_TRUE(q.removeRule(ids[2]));
+  ASSERT_TRUE(q.removeRule(ids[0]));
+  EXPECT_EQ(q.findRule(ids[2]), nullptr);
+  EXPECT_EQ(q.findRule(ids[0]), nullptr);
+  EXPECT_EQ(q.positionOf(ids[2]), -1);
+  expectIndexed(q);
+  EXPECT_EQ(q.positionOf(ids[1]), 0);
+  EXPECT_EQ(q.positionOf(ids[5]), 3);
+  // Ids are never reused: a new rule gets a fresh one and is indexed.
+  const int fresh = q.addRuleWithPriority(T("1*"), Action::kPermit, 100);
+  EXPECT_GT(fresh, ids.back());
+  EXPECT_EQ(q.positionOf(fresh), 0);
+  expectIndexed(q);
+}
+
+TEST(Policy, FindRuleAfterRemovingTheLastRule) {
+  Policy q;
+  for (int i = 0; i < 3; ++i) q.addRule(T("0*"), Action::kDrop);
+  ASSERT_TRUE(q.removeRule(2));
+  // The next id (3) lands at position 2, so ids no longer equal positions.
+  const int next = q.addRule(T("1*"), Action::kPermit);
+  EXPECT_EQ(next, 3);
+  EXPECT_EQ(q.findRule(2), nullptr);
+  EXPECT_EQ(q.positionOf(next), 2);
+  expectIndexed(q);
+}
+
+TEST(Policy, FindRuleOnACopiedPolicy) {
+  Policy q;
+  q.addRule(T("00"), Action::kDrop);
+  const int mid = q.addRule(T("01"), Action::kPermit);
+  q.addRule(T("1*"), Action::kDrop);
+  Policy copy = q;
+  ASSERT_TRUE(copy.removeRule(mid));
+  copy.addRuleWithPriority(T("11"), Action::kPermit, 5);
+  // The copy's index points into the copy, and the original is untouched.
+  expectIndexed(copy);
+  expectIndexed(q);
+  EXPECT_EQ(copy.findRule(mid), nullptr);
+  ASSERT_NE(q.findRule(mid), nullptr);
+  EXPECT_EQ(q.findRule(mid)->matchField, T("01"));
+  for (const Rule& r : copy.rules()) {
+    EXPECT_NE(copy.findRule(r.id), q.findRule(r.id));
+  }
+}
+
 TEST(Policy, EffectiveMatchSubtractsHigherPriority) {
   Policy q;
   q.addRule(T("1*"), Action::kPermit);

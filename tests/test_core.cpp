@@ -680,5 +680,38 @@ TEST(FastPath, ExpiredDeadlineStillDegrades) {
   EXPECT_TRUE(out.componentStats[0].failure.has_value());
 }
 
+// The paper's k=32 center point (perfbench place_k32, seeds 0-2) is
+// certified by the fast path; its placementToJson bytes are pinned so that
+// a change to the walk, the table order or the JSON writer shows up here.
+TEST(FastPath, K32CenterPointBytesArePinned) {
+  struct Pinned {
+    std::uint64_t seed;
+    std::size_t jsonBytes;
+    std::uint64_t jsonFnv;
+  };
+  for (const Pinned& pin : {Pinned{0, 6024811, 0xc4330c1d741a70f6ull},
+                            Pinned{1, 5972568, 0xf399933e63daf4b7ull},
+                            Pinned{2, 6014107, 0xe39507a1b1592ebeull}}) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    InstanceConfig cfg;
+    cfg.fatTreeK = 32;
+    cfg.capacity = 1000;
+    cfg.ingressCount = 512;
+    cfg.rulesPerPolicy = 200;
+    cfg.totalPaths = 2048;
+    cfg.seed = 1000 * 200 + 2048 + pin.seed;
+    const Instance inst(cfg);
+    PlaceOptions opts;
+    opts.threads = 4;
+    const PlaceOutcome out = place(inst.problem(), opts);
+    ASSERT_TRUE(out.hasSolution());
+    EXPECT_EQ(out.fastPathComponents, 1);
+    const std::string json =
+        io::placementToJson(out.solvedProblem, out.placement);
+    EXPECT_EQ(json.size(), pin.jsonBytes);
+    EXPECT_EQ(fnv64(json), pin.jsonFnv);
+  }
+}
+
 }  // namespace
 }  // namespace ruleplace::core

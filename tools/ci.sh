@@ -11,10 +11,11 @@
 #                          process
 #   tools/ci.sh --san      additionally build the asan-ubsan and tsan
 #                          presets and run the solver + parallel-engine +
-#                          fuzz + incremental-session + serve tests under
-#                          each (the suites that exercise raw pointer
-#                          juggling, the thread pool, the session's moves
-#                          and copies, and the shards' snapshot swaps)
+#                          fuzz + incremental-session + serve + core + acl
+#                          tests under each (the suites that exercise raw
+#                          pointer juggling, the thread pool, the session's
+#                          moves and copies, the shards' snapshot swaps,
+#                          the table order and the policies' rule index)
 #
 # Presets live in CMakePresets.json; sanitizer builds keep assert() live
 # (Debug + -O1), unlike the default RelWithDebInfo build.  Test labels
@@ -34,9 +35,10 @@ run_sanitized() {
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}" \
     --target test_solver --target test_solver_pb --target test_parallel \
-    --target test_fuzz --target test_solver_incremental --target test_serve
+    --target test_fuzz --target test_solver_incremental --target test_serve \
+    --target test_core --target test_acl
   for t in test_solver test_solver_pb test_parallel test_fuzz \
-           test_solver_incremental test_serve; do
+           test_solver_incremental test_serve test_core test_acl; do
     "./${builddir}/tests/${t}"
   done
 }

@@ -29,8 +29,10 @@
 //                      divergence)
 //   --verify-final     after the stream ends: flush and semantically verify
 //                      the composed placement (exit 1 on failure)
-//   --event-timeout S  per-event wall-clock budget in seconds
-//   --event-conflicts N  per-event solver conflict budget
+//   --event-timeout S  per-event wall-clock budget in seconds (default 10,
+//                      a backstop; -1 = unlimited)
+//   --event-conflicts N  per-event solver conflict budget (default 10000,
+//                      the deterministic bound; -1 = unlimited)
 //   --optimize         optimize each event's objective instead of
 //                      satisfiability-only re-solves
 //   --no-escalate      never escalate an infeasible event to a full solve
